@@ -4,7 +4,12 @@ Edges carry exact non-negative weights (int, or Fraction at the harness
 boundary).  Every edge has a stable id equal to its position in the input
 edge list; sets of edges are manipulated as int bitmasks keyed by edge id,
 which keeps "delete the covered edges" cheap inside the enumeration-heavy
-solvers.  Instances are immutable after construction.
+solvers.  An edge set's weight is one popcount when all weights are
+equal, and otherwise one popcount per bit plane of the weights scaled to
+ints (see `BipartiteInstance.mask_weight`), exact for ints and Fractions.
+The planes are built on first use; with weights up to 100 they take about
+300 bytes at m=100 and 4.5 KB at m=4,500.  Instances are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .errors import MkvcError
@@ -49,8 +55,7 @@ class BipartiteInstance:
 
     __slots__ = (
         "n_left", "n_right", "k", "edges", "m",
-        "_weights", "_inc", "_uniform", "_full_mask", "_capacities",
-        "_chunk_tables",
+        "_inc", "_uniform", "_full_mask", "_capacities", "_planes",
     )
 
     def __init__(self, n_left: int, n_right: int,
@@ -77,19 +82,16 @@ class BipartiteInstance:
         self.m = len(edge_list)
 
         inc = [0] * n
-        weights = []
-        for eid, (l, r, w) in enumerate(edge_list):
+        for eid, (l, r, _) in enumerate(edge_list):
             bit = 1 << eid
             inc[l] |= bit
             inc[n_left + r] |= bit
-            weights.append(w)
         self._inc = inc
-        self._weights = tuple(weights)
         self._full_mask = (1 << self.m) - 1
-        ws = set(weights)
+        ws = {w for _, _, w in edge_list}
         self._uniform = ws.pop() if len(ws) == 1 else None
         self._capacities = None
-        self._chunk_tables = None
+        self._planes = None
 
     # -- addressing -------------------------------------------------------
 
@@ -132,33 +134,38 @@ class BipartiteInstance:
         return self.cover_mask(self.vertex_id(r) for r in refs)
 
     def mask_weight(self, edge_mask: int):
-        """Total weight of the edges in the bitmask; each edge counted once."""
+        """Total weight of the edges in the bitmask; each edge counted once.
+
+        Uniform weights take one popcount.  Otherwise the weights, scaled by
+        the lcm D of their denominators, are split into bit planes: plane b
+        is the mask of the edges whose scaled weight has bit b set.  The
+        total is one `&` and one popcount per plane, divided by D, so it is
+        exact for ints and Fractions alike.  The planes are built on first
+        use and take one m-bit int per bit of the largest scaled weight.
+        """
         u = self._uniform
         if u is not None:
             return u * edge_mask.bit_count()
-        if self._chunk_tables is None:
-            self._build_chunk_tables()
-        tables = self._chunk_tables
+        if self._planes is None:
+            self._build_planes()
+        denominator, planes = self._planes
         total = 0
-        i = 0
-        while edge_mask:
-            total += tables[i][edge_mask & 0xFF]
-            edge_mask >>= 8
-            i += 1
-        return total
+        for plane in planes:
+            total = (total << 1) + (edge_mask & plane).bit_count()
+        return total if denominator == 1 else Fraction(total, denominator)
 
-    def _build_chunk_tables(self):
-        w = self._weights
-        tables = []
-        for base in range(0, self.m, 8):
-            chunk = w[base:base + 8]
-            chunk = chunk + (0,) * (8 - len(chunk))
-            tbl = [0] * 256
-            for b in range(1, 256):
-                low = b & (-b)
-                tbl[b] = tbl[b ^ low] + chunk[low.bit_length() - 1]
-            tables.append(tbl)
-        self._chunk_tables = tables
+    def _build_planes(self):
+        denominator = 1
+        for _, _, w in self.edges:
+            if isinstance(w, Fraction):
+                denominator = lcm(denominator, w.denominator)
+        scaled = [int(w * denominator) for _, _, w in reversed(self.edges)]
+        width = max(scaled, default=0).bit_length()
+        # most significant plane first, for Horner's rule in mask_weight
+        planes = tuple(
+            int("".join("1" if s >> b & 1 else "0" for s in scaled), 2)
+            for b in reversed(range(width)))
+        self._planes = (denominator, planes)
 
     def total_weight(self):
         return self.mask_weight(self._full_mask)

@@ -120,40 +120,54 @@ def _lex_key(vmask: int) -> tuple:
 
 
 def _greedy_masked(inst, banned: int, covered: int, budget: int):
-    inc = inst._inc
-    chosen = 0
-    rem = ~covered
-    total = 0
-    # the popcount shortcut is a positive rescaling; weight 0 must fall
-    # through so equal (zero) gains keep the lex-first tie rule
-    uniform = inst._uniform if inst._uniform else None
-    mask_weight = inst.mask_weight
-    allowed = [v for v in range(inst.n) if not banned >> v & 1]
-    if budget > len(allowed):
+    if budget > inst.n - banned.bit_count():
         raise MkvcError("greedy budget exceeds available vertices")
-    for _ in range(budget):
-        best_v = -1
-        best_g = -1
-        if uniform is not None:
-            for v in allowed:
-                if chosen >> v & 1:
-                    continue
-                g = (inc[v] & rem).bit_count()
-                if g > best_g:
-                    best_g = g
-                    best_v = v
-            best_g *= uniform
-        else:
-            for v in allowed:
-                if chosen >> v & 1:
-                    continue
-                g = mask_weight(inc[v] & rem)
-                if g > best_g:
-                    best_g = g
-                    best_v = v
-        chosen |= 1 << best_v
-        rem &= ~inc[best_v]
-        total += best_g
+    inc = inst._inc
+    edges = inst.edges
+    n_left = inst.n_left
+    rem = ~covered
+    # gains[v] is v's uncovered incident weight.  Equal non-zero weights
+    # count edges instead, a positive rescaling; weight 0 must take the
+    # weighted branch so equal (zero) gains keep the lex-first tie rule
+    unit = inst._uniform or None
+    if unit is not None:
+        gains = [(m & rem).bit_count() for m in inc]
+    else:
+        gains = [0] * inst.n
+        uncovered = format(rem & inst._full_mask, "b")[::-1]  # edge 0 first
+        for (l, r, w), bit in zip(edges, uncovered):
+            if bit == "1":
+                gains[l] += w
+                gains[n_left + r] += w
+    # banned and chosen vertices sit below every real gain; a banned
+    # endpoint of a newly covered edge only sinks further
+    while banned:
+        low = banned & -banned
+        gains[low.bit_length() - 1] = -1
+        banned ^= low
+    chosen = 0
+    total = 0
+    last = budget - 1
+    for step in range(budget):
+        # first maximum: Left before Right, then by index
+        g = max(gains)
+        v = gains.index(g)
+        gains[v] = -1
+        chosen |= 1 << v
+        total += g
+        new = inc[v] & rem
+        rem ^= new
+        if step == last:
+            break
+        # the other endpoint of edge (l, r) is l + (n_left + r) - v
+        shift = n_left - v
+        while new:
+            low = new & -new
+            l, r, w = edges[low.bit_length() - 1]
+            gains[l + r + shift] -= 1 if unit is not None else w
+            new ^= low
+    if unit is not None:
+        total *= unit
     return chosen, total, ~rem
 
 

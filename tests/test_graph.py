@@ -218,3 +218,47 @@ def test_residual_coverage_additivity(data):
     assert covered_weight(inst, s | t) == (
         covered_weight(inst, s)
         + covered_weight(res.instance, res.project(t)))
+
+
+@st.composite
+def weighted_instances(draw):
+    """Sparse instances whose weights are ints with 0, ints up to n**3
+    (25 or more bit planes at n=300), Fractions with mixed denominators,
+    Fractions with integral values, or none at all (m=0); m is any count,
+    so mostly not a multiple of 8."""
+    kind = draw(st.sampled_from(
+        ["int", "scaled", "mixed_fraction", "integral_fraction", "edgeless"]))
+    nl, nr = (150, 150) if kind == "scaled" else (draw(st.integers(1, 6)),
+                                                   draw(st.integers(1, 6)))
+    n = nl + nr
+    if kind == "int":
+        weights = st.integers(0, 9)
+    elif kind == "scaled":
+        weights = st.integers(0, n ** 3)
+    elif kind == "mixed_fraction":
+        weights = st.fractions(0, 7, max_denominator=30)
+    else:
+        weights = st.integers(0, 9).map(Fraction)
+    m = 0 if kind == "edgeless" else draw(st.integers(1, min(40, nl * nr)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)),
+                          min_size=m, max_size=m, unique=True))
+    edges = [(l, r, draw(weights)) for l, r in pairs]
+    if kind == "scaled":
+        edges[0] = (*pairs[0], n ** 3)
+        assert (n ** 3).bit_length() >= 25
+    return BipartiteInstance(nl, nr, edges, 1)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mask_weight_equals_naive_sum(data):
+    inst = data.draw(weighted_instances())
+    early_copy = inst.with_budget(0)
+    masks = data.draw(st.lists(st.integers(0, inst._full_mask), min_size=1,
+                               max_size=5))
+    for mask in [0, inst._full_mask, *masks]:
+        naive = sum(w for eid, (_, _, w) in enumerate(inst.edges)
+                    if mask >> eid & 1)
+        assert inst.mask_weight(mask) == naive
+        assert early_copy.mask_weight(mask) == naive
+        assert inst.with_budget(0).mask_weight(mask) == naive

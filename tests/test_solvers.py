@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkvc import (
     BipartiteInstance, MkvcError, Side, SolverKind, SolverSpec, VertexRef,
@@ -11,7 +12,7 @@ from mkvc import (
     solve_greedy, solve_ptas, solve_semiregular_exact, solve_top_side,
 )
 from mkvc.generate import GenKind, GenSpec, generate
-from mkvc.solvers import GREEDY_RHO
+from mkvc.solvers import GREEDY_RHO, _greedy_masked
 
 L = lambda i: VertexRef(Side.LEFT, i)
 R = lambda i: VertexRef(Side.RIGHT, i)
@@ -394,6 +395,90 @@ def test_masked_greedy_matches_residual_run():
             inst, banned, inst.cover_mask_of(gone), budget)
         masked = {inst.ref_of(v) for v in range(inst.n) if vm >> v & 1}
         assert masked == set(direct)
+
+
+def _rescan_greedy(inst, banned, covered, budget):
+    """Reference greedy: rescan every allowed vertex's residual weight on
+    every pick.  Weights are summed edge by edge, not via mask_weight."""
+    inc = inst._inc
+
+    def weight(mask):
+        return sum(w for eid, (_, _, w) in enumerate(inst.edges)
+                   if mask >> eid & 1)
+
+    chosen = 0
+    rem = ~covered
+    total = 0
+    uniform = inst._uniform if inst._uniform else None
+    allowed = [v for v in range(inst.n) if not banned >> v & 1]
+    if budget > len(allowed):
+        raise MkvcError("greedy budget exceeds available vertices")
+    for _ in range(budget):
+        best_v = -1
+        best_g = -1
+        if uniform is not None:
+            for v in allowed:
+                if chosen >> v & 1:
+                    continue
+                g = (inc[v] & rem).bit_count()
+                if g > best_g:
+                    best_g = g
+                    best_v = v
+            best_g *= uniform
+        else:
+            for v in allowed:
+                if chosen >> v & 1:
+                    continue
+                g = weight(inc[v] & rem)
+                if g > best_g:
+                    best_g = g
+                    best_v = v
+        chosen |= 1 << best_v
+        rem &= ~inc[best_v]
+        total += best_g
+    return chosen, total, ~rem
+
+
+@st.composite
+def masked_greedy_cases(draw):
+    """An instance with int, zero, uniform, uniform-Fraction or
+    mixed-Fraction weights (density 0 gives m=0), and random banned
+    vertices and covered edges."""
+    nl = draw(st.integers(1, 5))
+    nr = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(
+        ["int", "zero", "uniform", "uniform_fraction", "mixed_fraction"]))
+    if kind == "int":
+        weights = st.integers(0, 9)
+    elif kind == "zero":
+        weights = st.just(0)
+    elif kind == "uniform":
+        weights = st.just(draw(st.integers(1, 5)))
+    elif kind == "uniform_fraction":
+        weights = st.just(draw(st.fractions(Fraction(1, 7), 5, max_denominator=7)))
+    else:
+        weights = st.fractions(0, 5, max_denominator=12)
+    density = draw(st.sampled_from([0, 3, 7, 10]))
+    edges = [(i, j, draw(weights)) for i in range(nl) for j in range(nr)
+             if draw(st.integers(0, 9)) < density]
+    inst = BipartiteInstance(nl, nr, edges, 0)
+    banned = draw(st.integers(0, (1 << inst.n) - 1))
+    covered = draw(st.integers(0, inst._full_mask))
+    return inst, banned, covered
+
+
+@given(masked_greedy_cases())
+@settings(max_examples=300, deadline=None)
+def test_masked_greedy_matches_rescanning_reference(case):
+    inst, banned, covered = case
+    allowed = inst.n - banned.bit_count()
+    for budget in range(allowed + 1):
+        vm, total, cover = _greedy_masked(inst, banned, covered, budget)
+        ref_vm, ref_total, ref_cover = _rescan_greedy(inst, banned, covered, budget)
+        assert vm == ref_vm and cover == ref_cover
+        assert total == ref_total
+    with pytest.raises(MkvcError, match="exceeds"):
+        _greedy_masked(inst, banned, covered, allowed + 1)
 
 
 def test_generic_masked_fallback_via_residual():
