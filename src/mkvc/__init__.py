@@ -2,9 +2,9 @@
 scaling reduction, ratio analysis, and a benchmark harness."""
 
 from .analysis import (
-    Schedule, SubsetStats, check_prop1, cw_lower_bound, improve_ratio,
-    improvement_gap, inverse_improve, minimum_claim_holds, prop1_sweep,
-    ptas_schedule, secondary_bounds, subset_stats,
+    Schedule, SubsetStats, cw_lower_bound, improve_ratio, improvement_gap,
+    inverse_improve, minimum_claim_holds, prop1_sweep, ptas_schedule,
+    secondary_bounds, subset_stats,
 )
 from .bench import RunRecord, run_matrix, write_csv
 from .errors import MkvcError, ParseError
@@ -12,7 +12,7 @@ from .fileio import read_instance, write_instance
 from .generate import GenKind, GenSpec, generate
 from .graph import (
     BipartiteInstance, CoverSolution, Residual, Side, VertexRef,
-    covered_weight, residual, sorted_by_capacity, top_l_one_side,
+    covered_weight, residual,
 )
 from .reduction import ReductionReceipt, ratio_transfer, scale_weights
 from .solvers import (

@@ -228,48 +228,23 @@ def subset_stats(inst: BipartiteInstance, O, x_size: int,
     )
 
 
-def check_prop1(inst: BipartiteInstance, O, X, opt=None) -> bool:
-    """Check the remaining-optimum identity for a subset X of an optimal set O.
+def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
+    """Check the remaining-optimum identity for every subset X of an
+    optimal set O.
 
-    Verified facts, all in exact arithmetic:
+    Verified facts, all in exact arithmetic, for each X:
       - coverage(O \\ X) >= opt - coverage(X)  (the inequality form);
       - partition: weight privately covered by X plus total coverage of
         O \\ X equals opt;
-      - when X is itself a worst-|X| subset, coverage(O \\ X) is at least
+      - when X is a worst-|X| subset, coverage(O \\ X) is at least
         (1 - C_w(|X|)) * opt.
 
     The literal equality reading fails for arbitrary X (a best subset can
     privately hold more than the worst subset's share), so the inequality
-    plus the partition identity is what is asserted.
-    """
-    refs, opt = _verify_optimal(inst, O, opt)
-    xset = frozenset(X)
-    if not xset <= refs:
-        raise MkvcError("X must be a subset of O")
-
-    cov_x = inst.cover_mask_of(xset)
-    cov_rest = inst.cover_mask_of(refs - xset)
-    w_x = inst.mask_weight(cov_x)
-    w_rest = inst.mask_weight(cov_rest)
-    private_x = inst.mask_weight(cov_x & ~cov_rest)
-    if inst.mask_weight(cov_x | cov_rest) != opt:
-        return False
-    if w_rest < opt - w_x:
-        return False
-    if private_x + w_rest != opt:
-        return False
-
-    worst = min((inst.mask_weight(inst.cover_mask_of(c))
-                 for c in combinations(sorted(refs), len(xset))),
-                default=0)
-    if w_x == worst and w_rest < opt - worst:
-        return False
-    return True
-
-
-def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
-    """check_prop1 over every subset X of O, sharing the per-size worst
-    coverage computation.  Used by the verification harness."""
+    plus the partition identity is what is asserted.  The worst coverage
+    of each size is computed once and shared by that size's subsets.  O is
+    re-verified against the exhaustive oracle unless its value is passed
+    in.  Used by the verification harness."""
     refs, opt = _verify_optimal(inst, O, opt)
     ordered = sorted(refs)
     cov_all = inst.cover_mask_of(refs)

@@ -80,8 +80,6 @@ def run_matrix(instances, solvers, oracle: bool = False,
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 

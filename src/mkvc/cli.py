@@ -18,7 +18,7 @@ from .generate import GenKind, GenSpec, generate
 from .graph import Side, covered_weight
 from .reduction import ratio_transfer, scale_weights
 from .solvers import (
-    ORACLE_BUDGET, SolverKind, SolverSpec, build_solver,
+    ORACLE_BUDGET, SolverKind, SolverSpec, build_solver, needs_base,
 )
 from .verify import run_verification
 
@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
     solve.add_argument("--algorithm", required=True,
                        choices=[k.value for k in SolverKind])
     solve.add_argument("--base", default="greedy",
-                       choices=["greedy", "exact", "topside", "semiregular"])
+                       choices=[k.value for k in SolverKind
+                                if not needs_base(k)])
     solve.add_argument("--c", type=int, default=3)
     solve.add_argument("--x-size", type=int, default=0)
     solve.add_argument("--side", type=_side, default=Side.LEFT)
@@ -89,17 +90,15 @@ def _build_parser() -> _Parser:
 
 def _solver_spec(name: str, args=None) -> SolverSpec:
     kind = SolverKind(name)
-    if kind in (SolverKind.ALG1, SolverKind.ALG2, SolverKind.PTAS):
+    base = None
+    if needs_base(kind):
         base = SolverSpec(SolverKind(args.base if args else "greedy"))
-        if args is None:
-            return SolverSpec(kind, base=base, epsilon=Fraction(1, 10))
-        return SolverSpec(kind, base=base, c=args.c, x_size=args.x_size,
-                          side=args.side, epsilon=args.epsilon,
-                          max_depth=args.max_depth,
-                          oracle_budget=args.oracle_budget)
     if args is None:
-        return SolverSpec(kind)
-    return SolverSpec(kind, side=args.side, oracle_budget=args.oracle_budget)
+        return SolverSpec(kind, base=base, epsilon=Fraction(1, 10))
+    return SolverSpec(kind, base=base, c=args.c, x_size=args.x_size,
+                      side=args.side, epsilon=args.epsilon,
+                      max_depth=args.max_depth,
+                      oracle_budget=args.oracle_budget)
 
 
 def _cmd_gen(args) -> int:

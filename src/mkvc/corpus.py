@@ -128,11 +128,12 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str,
 
 
 def sweep_chunk(args) -> dict:
-    """Worker: all (graph, k) pairs for graph masks in [lo, hi) of one shape."""
-    nl, nr, lo, hi, run_alg2, run_prop1 = args
+    """Worker: all (graph, k) pairs for the graph masks of one shape, given
+    as a range or a tuple of masks."""
+    nl, nr, masks, run_alg2, run_prop1 = args
     agg = new_aggregate()
     n = nl + nr
-    for gmask in range(lo, hi):
+    for gmask in masks:
         inst1 = unweighted_instance(nl, nr, gmask, 1)
         for k in range(1, n):
             inst = inst1.with_budget(k)
@@ -148,40 +149,25 @@ def sweep_tasks(max_n: int, chunk_graphs: int = 4096,
     for nl, nr in ordered_shapes(max_n):
         total = 1 << (nl * nr)
         for lo in range(0, total, chunk_graphs):
-            tasks.append((nl, nr, lo, min(lo + chunk_graphs, total),
+            tasks.append((nl, nr, range(lo, min(lo + chunk_graphs, total)),
                           run_alg2, run_prop1))
     return tasks
 
 
 def sampled_sweep_tasks(max_n: int, per_shape: int, seed: int,
                         run_alg2: bool = True, run_prop1: bool = True):
-    """Seeded graph samples per shape, as single-graph tasks grouped in one
-    chunk per shape (used by the quick verification suite)."""
+    """Seeded graph samples per shape, one task per shape (used by the
+    quick verification suite)."""
     rng = random.Random(seed)
     tasks = []
     for nl, nr in ordered_shapes(max_n):
         total = 1 << (nl * nr)
         if total <= per_shape:
-            tasks.append((nl, nr, 0, total, run_alg2, run_prop1))
+            masks = range(total)
         else:
-            masks = sorted(rng.sample(range(total), per_shape))
-            tasks.append(("masks", nl, nr, tuple(masks), run_alg2, run_prop1))
+            masks = tuple(sorted(rng.sample(range(total), per_shape)))
+        tasks.append((nl, nr, masks, run_alg2, run_prop1))
     return tasks
-
-
-def run_task(task) -> dict:
-    if task[0] == "masks":
-        _, nl, nr, masks, run_alg2, run_prop1 = task
-        agg = new_aggregate()
-        n = nl + nr
-        for gmask in masks:
-            inst1 = unweighted_instance(nl, nr, gmask, 1)
-            for k in range(1, n):
-                check_instance(inst1.with_budget(k), agg,
-                               f"u{nl}x{nr}/g{gmask}/k{k}",
-                               run_alg2=run_alg2, run_prop1=run_prop1)
-        return agg
-    return sweep_chunk(task)
 
 
 def check_chunk(named_instances, run_alg2: bool = True,

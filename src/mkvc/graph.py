@@ -55,7 +55,7 @@ class BipartiteInstance:
 
     __slots__ = (
         "n_left", "n_right", "k", "edges", "m",
-        "_inc", "_uniform", "_full_mask", "_capacities", "_planes",
+        "_inc", "_uniform", "_full_mask", "_planes",
     )
 
     def __init__(self, n_left: int, n_right: int,
@@ -90,7 +90,6 @@ class BipartiteInstance:
         self._full_mask = (1 << self.m) - 1
         ws = {w for _, _, w in edge_list}
         self._uniform = ws.pop() if len(ws) == 1 else None
-        self._capacities = None
         self._planes = None
 
     # -- addressing -------------------------------------------------------
@@ -118,9 +117,6 @@ class BipartiteInstance:
         return [self.ref_of(v) for v in range(self.n)]
 
     # -- edge-set arithmetic ----------------------------------------------
-
-    def incidence_mask(self, vid: int) -> int:
-        return self._inc[vid]
 
     def cover_mask(self, vids: Iterable[int]) -> int:
         """Bitmask of edges with at least one endpoint among the given ids."""
@@ -169,12 +165,6 @@ class BipartiteInstance:
 
     def total_weight(self):
         return self.mask_weight(self._full_mask)
-
-    def capacity(self, vid: int):
-        """Initial coverage capacity: total weight of edges incident to vid."""
-        if self._capacities is None:
-            self._capacities = [self.mask_weight(m) for m in self._inc]
-        return self._capacities[vid]
 
     def degree(self, vid: int) -> int:
         return self._inc[vid].bit_count()
@@ -268,33 +258,3 @@ def residual(inst: BipartiteInstance, vertices: Iterable[VertexRef],
     sub = BipartiteInstance(len(kept_left), len(kept_right), new_edges, new_k)
     return Residual(sub, kept_left, kept_right)
 
-
-def _side_ids(inst: BipartiteInstance, side: Side) -> range:
-    if side == Side.LEFT:
-        return range(inst.n_left)
-    return range(inst.n_left, inst.n)
-
-
-def top_l_one_side(inst: BipartiteInstance, side: Side, l: int,
-                   already_covered: int = 0) -> frozenset:
-    """The l vertices of one side maximizing the weight of still-uncovered
-    incident edges.
-
-    Within a single side the incident edge sets are pairwise disjoint, so
-    sorting by residual capacity and taking a prefix is exact.  Ties break
-    toward the smaller index; l larger than the side is clamped.
-    """
-    if l < 0:
-        raise MkvcError("l must be non-negative")
-    ids = _side_ids(inst, side)
-    not_covered = ~already_covered
-    ranked = sorted(ids, key=lambda v: (-inst.mask_weight(inst._inc[v] & not_covered), v))
-    take = min(l, len(ranked))
-    return frozenset(inst.ref_of(v) for v in ranked[:take])
-
-
-def sorted_by_capacity(inst: BipartiteInstance, side: Side) -> list:
-    """Vertices of a side in non-increasing initial capacity, ties by index."""
-    ids = _side_ids(inst, side)
-    ranked = sorted(ids, key=lambda v: (-inst.capacity(v), v))
-    return [inst.ref_of(v) for v in ranked]

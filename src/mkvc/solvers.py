@@ -3,12 +3,23 @@ prefix-removal pass (alg1), the candidate-pool ratio amplifier (alg2), the
 bootstrapped approximation scheme (ptas), the exhaustive oracle, the
 semi-regular closed-form solver, and the budget-split guessing wrapper.
 
+Each solver kind is one row of the `_KINDS` table: its label, its guarantee
+(rho) rule, whether it wraps a base solver, its public run and its masked
+run.  `SolverSpec.label`, `RatedSolver.run`, `RatedSolver.run_masked` and
+`build_solver` dispatch through that table.
+
 Solvers share an internal "masked" calling convention: work directly on the
 parent instance with a bitmask of banned vertices and a bitmask of already
 covered edges.  This avoids rebuilding residual instances inside the
-enumeration loops of alg2; because deletion preserves per-side index order,
-a masked run and a run on the corresponding residual instance pick
-identical vertices.
+enumeration loops of alg1 and alg2.  Each algorithm has one masked
+implementation, and its public `solve_*` function is that run with nothing
+banned or covered at budget k; only ptas (which reports its schedule) and
+the semi-regular closed form have public paths of their own.  Because
+deletion preserves per-side index order, a masked run and a run on the
+corresponding residual instance pick identical vertices; the tests check
+this for greedy and for alg1 over greedy, exact and top-side bases.  The
+semi-regular solver has no masked form, so its masked run is a run on the
+explicitly built residual instance.
 """
 
 from __future__ import annotations
@@ -19,22 +30,16 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import Callable, NamedTuple
 
 from .analysis import improve_ratio, ptas_schedule
 from .errors import MkvcError
-from .graph import (
-    BipartiteInstance, CoverSolution, Side,
-    covered_weight, residual, top_l_one_side,
-)
+from .graph import BipartiteInstance, CoverSolution, Side, residual
 
 ORACLE_BUDGET = 2_000_000
 
 # exact rational lower bound of 1 - 1/e = 0.6321205..., truncated downward
 GREEDY_RHO = Fraction(632_120, 1_000_000)
-
-# a single-side top-k run only bounds the optimum share of that side; the
-# 1/2 floor presumes both sides are pooled (see guess_split_runner)
-TOP_SIDE_RHO = Fraction(1, 2)
 
 
 class SolverKind(str, Enum):
@@ -61,17 +66,7 @@ class SolverSpec:
     oracle_budget: int = ORACLE_BUDGET
 
     def label(self) -> str:
-        k = self.kind.value
-        if self.kind == SolverKind.TOP_SIDE:
-            return f"topside[{'L' if self.side == Side.LEFT else 'R'}]"
-        if self.kind == SolverKind.ALG1:
-            side = 'L' if self.side == Side.LEFT else 'R'
-            return f"alg1[x={self.x_size},{side}]({self.base.label()})"
-        if self.kind == SolverKind.ALG2:
-            return f"alg2[c={self.c}]({self.base.label()})"
-        if self.kind == SolverKind.PTAS:
-            return f"ptas[eps={self.epsilon},d<={self.max_depth}]({self.base.label()})"
-        return k
+        return _KINDS[self.kind].label(self)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +195,10 @@ def _exact_masked(inst, banned: int, covered: int, budget: int,
 
 
 def _top_side_masked(inst, side: Side, l: int, banned: int, covered: int):
+    """The l allowed vertices of one side with the most uncovered incident
+    weight.  Within a single side the incident edge sets are pairwise
+    disjoint, so ranking by that weight and taking a prefix is exact.  Ties
+    break toward the smaller index; l larger than the side is clamped."""
     ids = (range(inst.n_left) if side == Side.LEFT
            else range(inst.n_left, inst.n))
     inc = inst._inc
@@ -256,102 +255,74 @@ class RatedSolver:
         return self.spec.label()
 
     def run(self, inst: BipartiteInstance) -> CoverSolution:
-        if self.spec.kind == SolverKind.GREEDY:
-            return solve_greedy(inst)
-        if self.spec.kind == SolverKind.TOP_SIDE:
-            return solve_top_side(inst, self.spec.side)
-        if self.spec.kind == SolverKind.ALG1:
-            return solve_alg1(inst, self.spec.x_size, self.base, self.spec.side)
-        if self.spec.kind == SolverKind.ALG2:
-            return solve_alg2(inst, self.spec.c, self.base)
-        if self.spec.kind == SolverKind.PTAS:
-            return solve_ptas(inst, self.spec.epsilon, self.base,
-                              self.spec.max_depth, c=self.spec.c)
-        if self.spec.kind == SolverKind.EXACT:
-            return solve_exact(inst, self.spec.oracle_budget)
-        if self.spec.kind == SolverKind.SEMI_REGULAR:
-            return solve_semiregular_exact(inst)
-        raise MkvcError(f"unknown solver kind {self.spec.kind}")
+        return _KINDS[self.spec.kind].run(self, inst)
 
     def run_masked(self, inst, banned: int, covered: int, budget: int):
-        kind = self.spec.kind
-        if kind == SolverKind.GREEDY:
-            return _greedy_masked(inst, banned, covered, budget)
-        if kind == SolverKind.EXACT:
-            return _exact_masked(inst, banned, covered, budget,
-                                 self.spec.oracle_budget)
-        if kind == SolverKind.TOP_SIDE:
-            return _top_side_masked(inst, self.spec.side, budget, banned, covered)
-        if kind == SolverKind.ALG2:
-            return _alg2_masked(inst, self.spec.c, self.base,
-                                banned, covered, budget)
-        if kind == SolverKind.ALG1:
-            return _alg1_masked(inst, self.spec.x_size, self.base,
-                                self.spec.side, banned, covered, budget)
-        if kind == SolverKind.PTAS:
-            chain = _ptas_chain(self.spec.epsilon, self.base,
-                                self.spec.max_depth, self.spec.c)[0]
-            return chain.run_masked(inst, banned, covered, budget)
-        # remaining kinds run on an explicitly built residual instance
-        gone = [inst.ref_of(v) for v in _mask_ids(banned)]
-        res = residual(inst, gone, budget)
-        sol = self.run(res.instance)
-        vm = 0
-        for ref in res.lift(sol.vertices):
-            vm |= 1 << inst.vertex_id(ref)
-        cover = covered | _cover_of_mask(inst, vm)
-        return vm, inst.mask_weight(cover & ~covered), cover
+        return _KINDS[self.spec.kind].masked(self, inst, banned, covered,
+                                             budget)
 
 
 def greedy_solver() -> RatedSolver:
-    return RatedSolver(SolverSpec(SolverKind.GREEDY), GREEDY_RHO)
+    return build_solver(SolverSpec(SolverKind.GREEDY))
 
 
 def exact_solver(oracle_budget: int = ORACLE_BUDGET) -> RatedSolver:
-    return RatedSolver(SolverSpec(SolverKind.EXACT, oracle_budget=oracle_budget),
-                       Fraction(1))
+    return build_solver(SolverSpec(SolverKind.EXACT,
+                                   oracle_budget=oracle_budget))
 
 
 def build_solver(spec: SolverSpec) -> RatedSolver:
     """Resolve a spec tree into a runnable RatedSolver with its guarantee."""
     base = build_solver(spec.base) if spec.base is not None else None
-    kind = spec.kind
-    if kind == SolverKind.GREEDY:
-        rho = GREEDY_RHO
-    elif kind == SolverKind.EXACT or kind == SolverKind.SEMI_REGULAR:
-        rho = Fraction(1)
-    elif kind == SolverKind.TOP_SIDE:
-        rho = TOP_SIDE_RHO
-    elif kind == SolverKind.ALG1:
-        if base is None:
-            raise MkvcError("alg1 needs a base solver")
-        rho = base.rho
-    elif kind == SolverKind.ALG2:
-        if base is None:
-            raise MkvcError("alg2 needs a base solver")
-        if spec.c <= 2:
-            raise MkvcError("c must be > 2")
-        rho = improve_ratio(base.rho)
-    elif kind == SolverKind.PTAS:
-        if base is None:
-            raise MkvcError("ptas needs a base solver")
-        if spec.epsilon is None:
-            raise MkvcError("ptas needs epsilon")
-        rho = 1 - Fraction(spec.epsilon)
-    else:
-        raise MkvcError(f"unknown solver kind {kind}")
-    return RatedSolver(spec=spec, rho=rho, base=base)
+    return _rated(spec, base)
+
+
+def _rated(spec: SolverSpec, base: RatedSolver | None) -> RatedSolver:
+    kind = _KINDS[spec.kind]
+    if kind.needs_base and base is None:
+        raise MkvcError(f"{spec.kind.value} needs a base solver")
+    return RatedSolver(spec=spec, rho=kind.rho(spec, base), base=base)
+
+
+def needs_base(kind: SolverKind) -> bool:
+    """Whether solvers of this kind wrap a base solver."""
+    return _KINDS[kind].needs_base
+
+
+def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
+    if spec.c <= 2:
+        raise MkvcError("c must be > 2")
+    return improve_ratio(base.rho)
+
+
+def _ptas_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
+    if spec.epsilon is None:
+        raise MkvcError("ptas needs epsilon")
+    return 1 - Fraction(spec.epsilon)
+
+
+def _residual_masked(solver: RatedSolver, inst, banned: int, covered: int,
+                     budget: int):
+    """Masked run of a kind without a masked form: run it on the residual
+    instance with the banned vertices deleted and lift the result back."""
+    gone = [inst.ref_of(v) for v in _mask_ids(banned)]
+    res = residual(inst, gone, budget)
+    sol = solver.run(res.instance)
+    vm = 0
+    for ref in res.lift(sol.vertices):
+        vm |= 1 << inst.vertex_id(ref)
+    cover = covered | _cover_of_mask(inst, vm)
+    return vm, inst.mask_weight(cover & ~covered), cover
 
 
 # ---------------------------------------------------------------------------
 # public solvers
 
 
-def _mask_solution(inst, vmask: int, meta: dict | None = None) -> CoverSolution:
+def _mask_solution(inst, vmask: int) -> CoverSolution:
     verts = frozenset(inst.ref_of(v) for v in _mask_ids(vmask))
     value = inst.mask_weight(_cover_of_mask(inst, vmask))
-    return CoverSolution(vertices=verts, covered_weight=value,
-                         meta=meta or {})
+    return CoverSolution(vertices=verts, covered_weight=value)
 
 
 def solve_greedy(inst: BipartiteInstance) -> CoverSolution:
@@ -359,17 +330,14 @@ def solve_greedy(inst: BipartiteInstance) -> CoverSolution:
     covered weight; ties break Left-first then by index.  Always returns
     exactly k vertices, padding with zero-gain picks once everything is
     covered."""
-    vm, _, _ = _greedy_masked(inst, 0, 0, inst.k)
-    return _mask_solution(inst, vm)
+    return _mask_solution(inst, _greedy_masked(inst, 0, 0, inst.k)[0])
 
 
 def solve_top_side(inst: BipartiteInstance, side: Side) -> CoverSolution:
-    """The min(k, side size) vertices of one side with the largest initial
-    capacities.  The budget is deliberately not spilled onto the other side;
+    """The min(k, side size) vertices of one side with the most incident
+    weight.  The budget is deliberately not spilled onto the other side;
     pool both sides via guess_split_runner for a general-budget solver."""
-    refs = top_l_one_side(inst, side, min(inst.k, inst.side_size(side)))
-    return CoverSolution(vertices=refs,
-                         covered_weight=covered_weight(inst, refs))
+    return _mask_solution(inst, _top_side_masked(inst, side, inst.k, 0, 0)[0])
 
 
 def _alg1_masked(inst, x_size, base, side, banned, covered, budget):
@@ -385,18 +353,12 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
                side: Side = Side.LEFT) -> CoverSolution:
     """Prefix-removal pass: take the top-x_size vertices of one side, delete
     them with their edges, run the base solver with budget k - x_size on the
-    residual, and return the union (recomputed on the original weights)."""
+    rest, and return the union padded to k vertices (valued on the original
+    weights)."""
     if x_size < 0 or x_size > inst.k:
         raise MkvcError(f"x_size={x_size} out of range [0, k={inst.k}]")
-    prefix = top_l_one_side(inst, side, x_size)
-    res = residual(inst, prefix, inst.k - len(prefix))
-    sub = base.run(res.instance)
-    chosen = set(prefix) | set(res.lift(sub.vertices))
-    vm = 0
-    for ref in chosen:
-        vm |= 1 << inst.vertex_id(ref)
-    vm, _ = _pad_mask(inst, vm, 0, inst.k, 0)
-    return _mask_solution(inst, vm)
+    return _mask_solution(
+        inst, _alg1_masked(inst, x_size, base, side, 0, 0, inst.k)[0])
 
 
 def _alg2_masked(inst, c, base, banned, covered, budget):
@@ -451,8 +413,7 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     of size at most c, C plus a base run on the graph with C and its covered
     edges deleted.  Carries guarantee improve_ratio(base.rho).
     """
-    vm, _, _ = _alg2_masked(inst, c, base, 0, 0, inst.k)
-    return _mask_solution(inst, vm)
+    return _mask_solution(inst, _alg2_masked(inst, c, base, 0, 0, inst.k)[0])
 
 
 def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int = 3):
@@ -469,9 +430,8 @@ def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int = 3):
     depth = min(schedule.convergence_count, max_depth)
     solver = base
     for _ in range(depth):
-        solver = RatedSolver(
-            spec=SolverSpec(SolverKind.ALG2, base=solver.spec, c=c),
-            rho=improve_ratio(solver.rho), base=solver)
+        solver = _rated(SolverSpec(SolverKind.ALG2, base=solver.spec, c=c),
+                        solver)
     return solver, schedule, depth
 
 
@@ -509,8 +469,8 @@ def solve_exact(inst: BipartiteInstance,
     """Exhaustive oracle: every k-subset of the vertices, maximum covered
     weight, ties to the lexicographically smallest vertex set.  Refuses
     instances with more than `enumeration_budget` subsets."""
-    vm, _, _ = _exact_masked(inst, 0, 0, inst.k, enumeration_budget)
-    return _mask_solution(inst, vm)
+    return _mask_solution(
+        inst, _exact_masked(inst, 0, 0, inst.k, enumeration_budget)[0])
 
 
 def solve_semiregular_exact(inst: BipartiteInstance) -> CoverSolution:
@@ -552,3 +512,86 @@ def guess_split_runner(inst: BipartiteInstance, inner) -> CoverSolution:
 
 def _as_key(value):
     return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
+# ---------------------------------------------------------------------------
+# the solver table
+
+
+class _Kind(NamedTuple):
+    """How one solver kind is labelled, rated and run.  The run and masked
+    entries look the module's functions up when they are called, so a
+    function rebound on the module (the benchmark's tracer does this) is
+    the one that runs."""
+
+    label: Callable         # (spec) -> str
+    rho: Callable           # (spec, base RatedSolver or None) -> Fraction
+    needs_base: bool
+    run: Callable           # (solver, inst) -> CoverSolution
+    masked: Callable        # (solver, inst, banned, covered, budget) -> triple
+
+
+def _side_tag(side: Side) -> str:
+    return "L" if side == Side.LEFT else "R"
+
+
+_KINDS = {
+    SolverKind.GREEDY: _Kind(
+        label=lambda spec: spec.kind.value,
+        rho=lambda spec, base: GREEDY_RHO,
+        needs_base=False,
+        run=lambda s, inst: solve_greedy(inst),
+        masked=lambda s, inst, banned, covered, budget: _greedy_masked(
+            inst, banned, covered, budget)),
+    SolverKind.TOP_SIDE: _Kind(
+        label=lambda spec: f"topside[{_side_tag(spec.side)}]",
+        # a single-side top-k run only bounds the optimum share of that
+        # side; the 1/2 floor presumes both sides are pooled (see
+        # guess_split_runner)
+        rho=lambda spec, base: Fraction(1, 2),
+        needs_base=False,
+        run=lambda s, inst: solve_top_side(inst, s.spec.side),
+        masked=lambda s, inst, banned, covered, budget: _top_side_masked(
+            inst, s.spec.side, budget, banned, covered)),
+    SolverKind.ALG1: _Kind(
+        label=lambda spec: (f"alg1[x={spec.x_size},{_side_tag(spec.side)}]"
+                            f"({spec.base.label()})"),
+        rho=lambda spec, base: base.rho,
+        needs_base=True,
+        run=lambda s, inst: solve_alg1(inst, s.spec.x_size, s.base,
+                                       s.spec.side),
+        masked=lambda s, inst, banned, covered, budget: _alg1_masked(
+            inst, s.spec.x_size, s.base, s.spec.side, banned, covered,
+            budget)),
+    SolverKind.ALG2: _Kind(
+        label=lambda spec: f"alg2[c={spec.c}]({spec.base.label()})",
+        rho=_alg2_rho,
+        needs_base=True,
+        run=lambda s, inst: solve_alg2(inst, s.spec.c, s.base),
+        masked=lambda s, inst, banned, covered, budget: _alg2_masked(
+            inst, s.spec.c, s.base, banned, covered, budget)),
+    SolverKind.PTAS: _Kind(
+        label=lambda spec: (f"ptas[eps={spec.epsilon},d<={spec.max_depth}]"
+                            f"({spec.base.label()})"),
+        rho=_ptas_rho,
+        needs_base=True,
+        run=lambda s, inst: solve_ptas(inst, s.spec.epsilon, s.base,
+                                       s.spec.max_depth, c=s.spec.c),
+        masked=lambda s, inst, banned, covered, budget: _ptas_chain(
+            s.spec.epsilon, s.base, s.spec.max_depth, s.spec.c)[0].run_masked(
+            inst, banned, covered, budget)),
+    SolverKind.EXACT: _Kind(
+        label=lambda spec: spec.kind.value,
+        rho=lambda spec, base: Fraction(1),
+        needs_base=False,
+        run=lambda s, inst: solve_exact(inst, s.spec.oracle_budget),
+        masked=lambda s, inst, banned, covered, budget: _exact_masked(
+            inst, banned, covered, budget, s.spec.oracle_budget)),
+    SolverKind.SEMI_REGULAR: _Kind(
+        label=lambda spec: spec.kind.value,
+        rho=lambda spec, base: Fraction(1),
+        needs_base=False,
+        run=lambda s, inst: solve_semiregular_exact(inst),
+        masked=lambda s, inst, banned, covered, budget: _residual_masked(
+            s, inst, banned, covered, budget)),
+}

@@ -16,13 +16,16 @@ from .analysis import (
     ptas_schedule,
 )
 from .corpus import (
-    ALG2_FLOOR, merge_aggregates, new_aggregate, rational_corpus, run_task,
-    sampled_sweep_tasks,
+    ALG2_FLOOR, merge_aggregates, new_aggregate, rational_corpus,
+    sampled_sweep_tasks, sweep_chunk,
 )
 from .generate import GenKind, GenSpec, generate
-from .graph import Side, covered_weight, residual, top_l_one_side
+from .graph import Side, covered_weight, residual
 from .reduction import ratio_transfer, scale_weights
-from .solvers import GREEDY_RHO, solve_alg2, solve_exact, solve_greedy, greedy_solver
+from .solvers import (
+    GREEDY_RHO, greedy_solver, solve_alg2, solve_exact, solve_greedy,
+    solve_top_side,
+)
 
 
 def _grid(lo: int, hi: int, den: int):
@@ -127,7 +130,7 @@ def check_graph_core(seed: int) -> list:
                 sub = False
         side = rng.choice([Side.LEFT, Side.RIGHT])
         l = rng.randint(0, inst.side_size(side))
-        got = top_l_one_side(inst, side, l)
+        got = solve_top_side(inst.with_budget(l), side).vertices
         best = max(
             (covered_weight(inst, c)
              for c in combinations([r for r in refs if r.side == side], l)),
@@ -186,7 +189,7 @@ def check_reduction(seed: int) -> list:
 def check_solvers(small_n: int, seed: int) -> list:
     agg = new_aggregate()
     for task in sampled_sweep_tasks(small_n, per_shape=24, seed=seed):
-        merge_aggregates(agg, run_task(task))
+        merge_aggregates(agg, sweep_chunk(task))
     lines = []
     zero = ["feasibility", "self_consistency", "dominance",
             "greedy_floor", "greedy_kn", "alg2_vs_greedy", "prop1"]

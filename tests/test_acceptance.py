@@ -31,7 +31,7 @@ from mkvc import (
 )
 from mkvc.corpus import (
     ALG2_FLOOR, check_chunk, merge_aggregates, new_aggregate, ordered_shapes,
-    random_weighted_corpus, rational_corpus, run_task, semiregular_corpus,
+    random_weighted_corpus, rational_corpus, semiregular_corpus, sweep_chunk,
     sweep_tasks, unweighted_instance,
 )
 from mkvc.solvers import (
@@ -51,11 +51,11 @@ def _pool_run(tasks):
     agg = new_aggregate()
     if WORKERS > 1:
         with multiprocessing.Pool(WORKERS) as pool:
-            for part in pool.imap_unordered(run_task, tasks, chunksize=1):
+            for part in pool.imap_unordered(sweep_chunk, tasks, chunksize=1):
                 merge_aggregates(agg, part)
     else:
         for task in tasks:
-            merge_aggregates(agg, run_task(task))
+            merge_aggregates(agg, sweep_chunk(task))
     return agg
 
 

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from mkvc import (
-    BipartiteInstance, MkvcError, Side, VertexRef, check_prop1,
-    cw_lower_bound, improve_ratio, improvement_gap, inverse_improve,
-    minimum_claim_holds, prop1_sweep, ptas_schedule, secondary_bounds,
-    solve_exact, subset_stats,
+    BipartiteInstance, MkvcError, Side, VertexRef, cw_lower_bound,
+    improve_ratio, improvement_gap, inverse_improve, minimum_claim_holds,
+    prop1_sweep, ptas_schedule, secondary_bounds, solve_exact, subset_stats,
 )
 from mkvc.solvers import GREEDY_RHO
 
@@ -169,30 +168,25 @@ def test_subset_stats_x_size_range(k22):
 # -- remaining-optimum check -------------------------------------------------
 
 def test_prop1_empty_subset(k22):
+    # an empty O is optimal only when nothing can be covered; then X = {} is
+    # the one subset checked
+    assert prop1_sweep(BipartiteInstance(2, 2, [], 1), frozenset())
     opt = solve_exact(k22)
-    assert check_prop1(k22, opt.vertices, set())
+    assert prop1_sweep(k22, opt.vertices)
 
 
 def test_prop1_k22_half(k22):
     opt = solve_exact(k22)
-    x = {sorted(opt.vertices)[0]}
-    assert check_prop1(k22, opt.vertices, x)
-
-
-def test_prop1_requires_subset(k22):
-    opt = solve_exact(k22)
-    with pytest.raises(MkvcError, match="subset"):
-        check_prop1(k22, opt.vertices, {R(0)})
+    assert len(opt.vertices) == 2
+    assert prop1_sweep(k22, opt.vertices, opt.covered_weight)
 
 
 def test_prop1_skewed_private_weights():
     # the heavy member privately holds far more than the worst share; the
-    # inequality and partition forms must still hold
+    # inequality and partition forms must still hold for every X
     inst = BipartiteInstance(2, 2, [(0, 0, 10), (1, 1, 1)], 2)
     o = solve_exact(inst).vertices
-    for x in ({L(0)}, {L(1)}, set(), set(o)):
-        if x <= o:
-            assert check_prop1(inst, o, x)
+    assert prop1_sweep(inst, o)
 
 
 def test_prop1_sweep_small_instances():

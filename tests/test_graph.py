@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkvc import (
-    BipartiteInstance, MkvcError, Side, VertexRef, covered_weight, residual,
-    sorted_by_capacity, top_l_one_side,
+    BipartiteInstance, MkvcError, Side, VertexRef, covered_weight,
+    greedy_solver, residual, solve_alg1, solve_top_side,
 )
+from mkvc.solvers import _top_side_masked
 
 L = lambda i: VertexRef(Side.LEFT, i)
 R = lambda i: VertexRef(Side.RIGHT, i)
@@ -101,53 +102,46 @@ def test_residual_lift_and_project_roundtrip():
         res.project({L(1)})
 
 
-# -- top_l_one_side / sorted_by_capacity ------------------------------------
+# -- single-side top-l ranking ------------------------------------------------
+#
+# The one ranking lives in the solvers (solve_top_side and the masked run it
+# wraps); the budget k of the instance is the block size l.
 
 def test_top_l_picks_largest_capacity():
     inst = BipartiteInstance(2, 2, [(0, 0, 3), (1, 0, 5), (1, 1, 1)], 1)
-    assert top_l_one_side(inst, Side.LEFT, 1) == {L(1)}
+    assert solve_top_side(inst, Side.LEFT).vertices == {L(1)}
 
 
 def test_top_l_zero_is_empty(k22):
-    assert top_l_one_side(k22, Side.LEFT, 0) == frozenset()
+    got = solve_top_side(k22.with_budget(0), Side.LEFT)
+    assert got.vertices == frozenset() and got.covered_weight == 0
 
 
 def test_top_l_whole_side(k22):
-    got = top_l_one_side(k22, Side.LEFT, 2)
-    assert got == {L(0), L(1)}
-    assert covered_weight(k22, got) == 4
+    got = solve_top_side(k22, Side.LEFT)
+    assert got.vertices == {L(0), L(1)}
+    assert got.covered_weight == covered_weight(k22, got.vertices) == 4
 
 
 def test_top_l_clamps_oversized_request(k22):
-    assert top_l_one_side(k22, Side.RIGHT, 7) == {R(0), R(1)}
+    got = solve_top_side(k22.with_budget(3), Side.RIGHT)
+    assert got.vertices == {R(0), R(1)}
 
 
 def test_top_l_respects_already_covered():
     inst = BipartiteInstance(2, 2, [(0, 0, 3), (1, 0, 5), (1, 1, 1)], 1)
     covered = inst.cover_mask_of({R(0)})
-    assert top_l_one_side(inst, Side.LEFT, 1, covered) == {L(1)}
+    vm, gain, _ = _top_side_masked(inst, Side.LEFT, 1, 0, covered)
+    assert vm == 1 << inst.vertex_id(L(1)) and gain == 1
     covered = inst.cover_mask_of({L(1)})
-    assert top_l_one_side(inst, Side.LEFT, 1, covered) == {L(0)}
+    vm, gain, _ = _top_side_masked(inst, Side.LEFT, 1, 0, covered)
+    assert vm == 1 << inst.vertex_id(L(0)) and gain == 3
 
 
 def test_top_l_negative_rejected(k22):
-    with pytest.raises(MkvcError):
-        top_l_one_side(k22, Side.LEFT, -1)
-
-
-def test_sorted_by_capacity_orders_and_breaks_ties():
-    inst = BipartiteInstance(2, 1, [(0, 0, 3), (1, 0, 5)], 1)
-    assert sorted_by_capacity(inst, Side.LEFT) == [L(1), L(0)]
-
-
-def test_sorted_by_capacity_tie_is_index_order(k22):
-    assert sorted_by_capacity(k22, Side.LEFT) == [L(0), L(1)]
-
-
-def test_sorted_by_capacity_empty_side():
-    star = BipartiteInstance(1, 2, [(0, 0, 1), (0, 1, 1)], 1)
-    res = residual(star, {L(0)}, 1)
-    assert sorted_by_capacity(res.instance, Side.LEFT) == []
+    # a caller picks the block size only through alg1's x_size
+    with pytest.raises(MkvcError, match="x_size"):
+        solve_alg1(k22, -1, greedy_solver())
 
 
 # -- properties -------------------------------------------------------------
@@ -202,7 +196,8 @@ def test_top_l_matches_brute_force(data):
     l = data.draw(st.integers(0, size))
     refs = [r for r in inst.all_refs() if r.side == side]
     best = max(covered_weight(inst, c) for c in combinations(refs, l))
-    assert covered_weight(inst, top_l_one_side(inst, side, l)) == best
+    got = solve_top_side(inst.with_budget(l), side)
+    assert covered_weight(inst, got.vertices) == got.covered_weight == best
 
 
 @given(st.data())

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mkvc import (
-    BipartiteInstance, MkvcError, ParseError, SolverKind, SolverSpec,
-    build_solver, read_instance, run_matrix, solve_exact, solve_greedy,
-    write_csv, write_instance,
+    BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
+    VertexRef, build_solver, covered_weight, read_instance, run_matrix,
+    solve_exact, solve_greedy, write_csv, write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
@@ -244,6 +244,38 @@ def test_cli_solve_with_scaling(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scaled_value" in out and "value 4" in out
     assert "transfer_guarantee" in out
+
+
+@pytest.mark.filterwarnings("ignore:depth clamped")
+@pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
+def test_cli_solve_every_algorithm(tmp_path, capsys, kind):
+    if kind == SolverKind.SEMI_REGULAR:
+        path = _write_k22(tmp_path)
+    else:
+        path = tmp_path / "small.mkvc"
+        path.write_text("p mkvc 3 3 6 2\ne 0 0 4\ne 0 1 1\ne 1 1 3\n"
+                        "e 1 2 2\ne 2 0 5\ne 2 2 1\n")
+    assert main(["solve", str(path), "--algorithm", kind.value]) == 0
+    out = capsys.readouterr().out
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    refs = {VertexRef(Side.LEFT if t[0] == "L" else Side.RIGHT, int(t[1:]))
+            for t in fields["vertices"].split()}
+    inst = read_instance(path)
+    assert len(refs) == inst.k
+    assert int(fields["value"]) == covered_weight(inst, refs)
+
+
+def test_cli_solve_alg1_oversized_prefix_exits_one(tmp_path, capsys):
+    path = _write_k22(tmp_path)
+    assert main(["solve", str(path), "--algorithm", "alg1",
+                 "--x-size", "3"]) == 1
+    assert "x_size" in capsys.readouterr().err
+
+
+def test_cli_solve_alg2_small_c_exits_one(tmp_path, capsys):
+    path = _write_k22(tmp_path)
+    assert main(["solve", str(path), "--algorithm", "alg2", "--c", "2"]) == 1
+    assert "c must be > 2" in capsys.readouterr().err
 
 
 def test_cli_solve_semiregular_error_exits_one(tmp_path, capsys):

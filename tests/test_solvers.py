@@ -12,7 +12,9 @@ from mkvc import (
     solve_greedy, solve_ptas, solve_semiregular_exact, solve_top_side,
 )
 from mkvc.generate import GenKind, GenSpec, generate
-from mkvc.solvers import GREEDY_RHO, _greedy_masked
+from mkvc.solvers import (
+    GREEDY_RHO, _greedy_masked, _mask_solution, _pad_mask,
+)
 
 L = lambda i: VertexRef(Side.LEFT, i)
 R = lambda i: VertexRef(Side.RIGHT, i)
@@ -127,13 +129,12 @@ def test_alg1_rejects_oversized_prefix(k22):
 
 
 def test_alg1_with_exact_base_splits_value_exactly():
-    from mkvc import top_l_one_side
     rng = random.Random(5)
     for _ in range(30):
         inst = random_instance(rng, max_side=5)
         x_size = rng.randint(0, min(inst.k, inst.n_left))
         sol = solve_alg1(inst, x_size, exact_solver())
-        prefix = top_l_one_side(inst, Side.LEFT, x_size)
+        prefix = solve_top_side(inst.with_budget(x_size), Side.LEFT).vertices
         sub_opt = solve_exact(
             residual(inst, prefix, inst.k - x_size).instance).covered_weight
         assert sol.covered_weight == covered_weight(inst, prefix) + sub_opt
@@ -360,14 +361,14 @@ def test_guess_split_tries_every_split():
 
 
 def test_guess_split_pools_both_sides():
-    from mkvc import top_l_one_side
     rng = random.Random(14)
     for _ in range(20):
         inst = random_instance(rng)
 
         def inner(k1, k2):
-            refs = (top_l_one_side(inst, Side.LEFT, min(k1, inst.n_left))
-                    | top_l_one_side(inst, Side.RIGHT, min(k2, inst.n_right)))
+            left = solve_top_side(inst.with_budget(k1), Side.LEFT)
+            right = solve_top_side(inst.with_budget(k2), Side.RIGHT)
+            refs = left.vertices | right.vertices
             from mkvc import CoverSolution
             return CoverSolution(vertices=frozenset(refs),
                                  covered_weight=covered_weight(inst, refs))
@@ -440,10 +441,9 @@ def _rescan_greedy(inst, banned, covered, budget):
 
 
 @st.composite
-def masked_greedy_cases(draw):
+def weighted_instances(draw):
     """An instance with int, zero, uniform, uniform-Fraction or
-    mixed-Fraction weights (density 0 gives m=0), and random banned
-    vertices and covered edges."""
+    mixed-Fraction weights (density 0 gives m=0), at budget 0."""
     nl = draw(st.integers(1, 5))
     nr = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(
@@ -461,7 +461,13 @@ def masked_greedy_cases(draw):
     density = draw(st.sampled_from([0, 3, 7, 10]))
     edges = [(i, j, draw(weights)) for i in range(nl) for j in range(nr)
              if draw(st.integers(0, 9)) < density]
-    inst = BipartiteInstance(nl, nr, edges, 0)
+    return BipartiteInstance(nl, nr, edges, 0)
+
+
+@st.composite
+def masked_greedy_cases(draw):
+    """A weighted instance with random banned vertices and covered edges."""
+    inst = draw(weighted_instances())
     banned = draw(st.integers(0, (1 << inst.n) - 1))
     covered = draw(st.integers(0, inst._full_mask))
     return inst, banned, covered
@@ -479,6 +485,41 @@ def test_masked_greedy_matches_rescanning_reference(case):
         assert total == ref_total
     with pytest.raises(MkvcError, match="exceeds"):
         _greedy_masked(inst, banned, covered, allowed + 1)
+
+
+def _residual_alg1(inst, x_size, base, side):
+    """Reference alg1 on an explicitly built residual instance: the top
+    x_size vertices of one side (ranked here by a plain sort) are deleted
+    with their edges, the base runs on the residual, and the union is
+    padded to k with the lexicographically first unused vertices."""
+    side_refs = [r for r in inst.all_refs() if r.side == side]
+    prefix = sorted(side_refs,
+                    key=lambda r: (-covered_weight(inst, [r]), r))[:x_size]
+    res = residual(inst, prefix, inst.k - len(prefix))
+    sub = base.run(res.instance)
+    chosen = set(prefix) | set(res.lift(sub.vertices))
+    vm = 0
+    for ref in chosen:
+        vm |= 1 << inst.vertex_id(ref)
+    vm, _ = _pad_mask(inst, vm, 0, inst.k, 0)
+    return _mask_solution(inst, vm)
+
+
+@given(weighted_instances(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_masked_alg1_matches_residual_reference(inst, data):
+    inst = inst.with_budget(data.draw(st.integers(1, inst.n - 1)))
+    bases = [greedy_solver(), exact_solver(),
+             build_solver(SolverSpec(SolverKind.TOP_SIDE, side=Side.LEFT)),
+             build_solver(SolverSpec(SolverKind.TOP_SIDE, side=Side.RIGHT))]
+    for base in bases:
+        for side in (Side.LEFT, Side.RIGHT):
+            for x_size in range(inst.k + 1):
+                got = solve_alg1(inst, x_size, base, side)
+                want = _residual_alg1(inst, x_size, base, side)
+                assert got.vertices == want.vertices
+                assert got.covered_weight == want.covered_weight
+                assert type(got.covered_weight) is type(want.covered_weight)
 
 
 def test_generic_masked_fallback_via_residual():
