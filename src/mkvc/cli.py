@@ -139,14 +139,20 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    names = [name.strip() for name in args.solvers.split(",") if name.strip()]
+    valid = [k.value for k in SolverKind]
+    for name in names:
+        if name not in valid:
+            print(f"error: unknown solver {name!r} (choose from "
+                  f"{', '.join(valid)})", file=sys.stderr)
+            return USAGE_EXIT
     directory = Path(args.directory)
     files = sorted(directory.glob("*.mkvc")) + sorted(directory.glob("*.txt"))
     if not files:
         print(f"error: no instance files in {directory}", file=sys.stderr)
         return 1
     instances = [(f.stem, read_instance(f)) for f in files]
-    solvers = [build_solver(_solver_spec(name.strip()))
-               for name in args.solvers.split(",") if name.strip()]
+    solvers = [build_solver(_solver_spec(name)) for name in names]
     records = run_matrix(instances, solvers, oracle=args.oracle,
                          oracle_budget=args.oracle_budget, jobs=args.jobs)
     if args.output:

@@ -20,6 +20,13 @@ corresponding residual instance pick identical vertices; the tests check
 this for greedy and for alg1 over greedy, exact and top-side bases.  The
 semi-regular solver has no masked form, so its masked run is a run on the
 explicitly built residual instance.
+
+Greedy is split into its fill (`_gains`: every vertex's uncovered incident
+weight) and its pick loop (`_greedy_picks`), and the single-side ranking
+(`_top_block`) reads the same gains list.  alg2 fills the gains once per
+call: they bound its small vertex sets, and over a greedy base they seed
+the greedy runs, whose traced direct run also yields every reduced-budget
+run and the gains that rank its completions.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -110,27 +117,28 @@ def _pad_mask(inst, vmask: int, banned: int, count: int, cover: int):
     return vmask, cover
 
 
-def _lex_key(vmask: int) -> tuple:
-    return tuple(_mask_ids(vmask))
+def _lex_less(a: int, b: int) -> bool:
+    """Whether vertex set `a` sorts before `b` as a sorted-id tuple, for
+    sets of equal size: the lowest id in which they differ lies in `a`."""
+    d = a ^ b
+    return a & d & -d != 0
 
 
-def _greedy_masked(inst, banned: int, covered: int, budget: int):
-    if budget > inst.n - banned.bit_count():
-        raise MkvcError("greedy budget exceeds available vertices")
-    inc = inst._inc
-    edges = inst.edges
-    n_left = inst.n_left
+def _gains(inst, banned: int, covered: int):
+    """Greedy's fill: `(gains, unit)`, where gains[v] is v's uncovered
+    incident weight and -1 for a banned v.  Equal non-zero weights count
+    edges instead, a positive rescaling, and `unit` is that weight (None
+    otherwise); weight 0 must take the weighted branch so equal (zero)
+    gains keep the lex-first tie rule."""
     rem = ~covered
-    # gains[v] is v's uncovered incident weight.  Equal non-zero weights
-    # count edges instead, a positive rescaling; weight 0 must take the
-    # weighted branch so equal (zero) gains keep the lex-first tie rule
     unit = inst._uniform or None
     if unit is not None:
-        gains = [(m & rem).bit_count() for m in inc]
+        gains = [(m & rem).bit_count() for m in inst._inc]
     else:
         gains = [0] * inst.n
+        n_left = inst.n_left
         uncovered = format(rem & inst._full_mask, "b")[::-1]  # edge 0 first
-        for (l, r, w), bit in zip(edges, uncovered):
+        for (l, r, w), bit in zip(inst.edges, uncovered):
             if bit == "1":
                 gains[l] += w
                 gains[n_left + r] += w
@@ -140,6 +148,19 @@ def _greedy_masked(inst, banned: int, covered: int, budget: int):
         low = banned & -banned
         gains[low.bit_length() - 1] = -1
         banned ^= low
+    return gains, unit
+
+
+def _greedy_picks(inst, gains: list, unit, covered: int, budget: int,
+                  trace: list | None = None):
+    """Greedy's pick loop from a `_gains` state, which it consumes.  With a
+    `trace` list, the state after every pick but the last is appended to
+    it as (chosen, total, cover, gains copy); greedy at a smaller budget
+    is a prefix of that trace."""
+    inc = inst._inc
+    edges = inst.edges
+    n_left = inst.n_left
+    rem = ~covered
     chosen = 0
     total = 0
     last = budget - 1
@@ -161,9 +182,18 @@ def _greedy_masked(inst, banned: int, covered: int, budget: int):
             l, r, w = edges[low.bit_length() - 1]
             gains[l + r + shift] -= 1 if unit is not None else w
             new ^= low
+        if trace is not None:
+            trace.append((chosen, total * (unit or 1), ~rem, gains[:]))
     if unit is not None:
         total *= unit
     return chosen, total, ~rem
+
+
+def _greedy_masked(inst, banned: int, covered: int, budget: int):
+    if budget > inst.n - banned.bit_count():
+        raise MkvcError("greedy budget exceeds available vertices")
+    gains, unit = _gains(inst, banned, covered)
+    return _greedy_picks(inst, gains, unit, covered, budget)
 
 
 def _exact_masked(inst, banned: int, covered: int, budget: int,
@@ -194,47 +224,28 @@ def _exact_masked(inst, banned: int, covered: int, budget: int,
     return vm, best_w, covered | best_em
 
 
-def _top_side_masked(inst, side: Side, l: int, banned: int, covered: int):
-    """The l allowed vertices of one side with the most uncovered incident
-    weight.  Within a single side the incident edge sets are pairwise
-    disjoint, so ranking by that weight and taking a prefix is exact.  Ties
-    break toward the smaller index; l larger than the side is clamped."""
+def _top_block(inst, side: Side, l: int, gains: list) -> list:
+    """The l vertices of one side with the largest gains (a `_gains`
+    list; negative entries are unavailable).  Within a single side the
+    incident edge sets are pairwise disjoint, so the block covers exactly
+    the sum of its gains and taking a prefix is exact.  Ties break toward
+    the smaller index; l larger than the side is clamped."""
     ids = (range(inst.n_left) if side == Side.LEFT
            else range(inst.n_left, inst.n))
+    return sorted((v for v in ids if gains[v] >= 0),
+                  key=lambda v: (-gains[v], v))[:l]
+
+
+def _top_side_masked(inst, side: Side, l: int, banned: int, covered: int):
+    """The l allowed vertices of one side with the most uncovered incident
+    weight."""
     inc = inst._inc
-    not_cov = ~covered
-    mask_weight = inst.mask_weight
-    ranked = sorted(
-        (v for v in ids if not banned >> v & 1),
-        key=lambda v: (-mask_weight(inc[v] & not_cov), v))
     vm = 0
     em = 0
-    for v in ranked[:l]:
+    for v in _top_block(inst, side, l, _gains(inst, banned, covered)[0]):
         vm |= 1 << v
         em |= inc[v]
-    return vm, mask_weight(em & not_cov), covered | em
-
-
-def _best_candidate(inst, candidates, covered: int):
-    """Maximum newly-covered weight; ties to the lexicographically smallest
-    vertex set, so the result is independent of candidate order."""
-    not_cov = ~covered
-    mask_weight = inst.mask_weight
-    best = None
-    best_cover = 0
-    best_w = None
-    best_key = None
-    for vm, cover in candidates:
-        w = mask_weight(cover & not_cov)
-        if best is None or w > best_w:
-            best, best_cover, best_w, best_key = vm, cover, w, None
-        elif w == best_w:
-            if best_key is None:
-                best_key = _lex_key(best)
-            key = _lex_key(vm)
-            if key < best_key:
-                best, best_cover, best_key = vm, cover, key
-    return best, best_w, best_cover
+    return vm, inst.mask_weight(em & ~covered), covered | em
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +298,13 @@ def _rated(spec: SolverSpec, base: RatedSolver | None) -> RatedSolver:
 def needs_base(kind: SolverKind) -> bool:
     """Whether solvers of this kind wrap a base solver."""
     return _KINDS[kind].needs_base
+
+
+def _alg1_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
+    # the upper end, x_size <= k, depends on the instance; solve_alg1 checks it
+    if spec.x_size < 0:
+        raise MkvcError(f"x_size={spec.x_size} must be >= 0")
+    return base.rho
 
 
 def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
@@ -364,54 +382,155 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
 def _alg2_masked(inst, c, base, banned, covered, budget):
     if c <= 2:
         raise MkvcError("c must be > 2")
-    inc = inst._inc
-    candidates = []
-    seen = set()
-
-    def add(vm: int, cover: int):
-        vm, cover = _pad_mask(inst, vm, banned, budget, cover)
-        if vm not in seen:
-            seen.add(vm)
-            candidates.append((vm, cover))
-
-    # direct base run at full budget: makes "alg2 >= base" structural
-    bm, _, cov_b = base.run_masked(inst, banned, covered, budget)
-    add(bm, cov_b)
-
-    # base at reduced budget, completed with the best single-side block;
-    # both sides are tried and both completions enter the pool
-    for l in range(budget - 1, c - 1, -1):
-        bm, _, cov_b = base.run_masked(inst, banned, covered, budget - l)
-        for side in (Side.LEFT, Side.RIGHT):
-            tm, _, cov_t = _top_side_masked(inst, side, l, banned | bm, cov_b)
-            add(bm | tm, cov_t)
-
-    # every small vertex set, removed with its covered edges, base on the rest
     allowed = [v for v in range(inst.n) if not banned >> v & 1]
-    for l in range(min(c, budget), 0, -1):
-        for sub in combinations(allowed, l):
-            sm = 0
-            cm = covered
-            for v in sub:
-                sm |= 1 << v
-                cm |= inc[v]
-            if budget > l:
-                bm, _, cov_b = base.run_masked(inst, banned | sm, cm, budget - l)
-                add(sm | bm, cov_b)
-            else:
-                add(sm, cm)
+    if budget > len(allowed):
+        raise MkvcError("budget exceeds available vertices")
+    inc = inst._inc
+    n_left = inst.n_left
+    not_cov = ~covered
+    gains, unit = _gains(inst, banned, covered)
+    scale = unit or 1
+    seeded = base.spec.kind is SolverKind.GREEDY
+    # the running best: the maximum newly covered weight, ties to the
+    # lexicographically smallest vertex set, so arrival order is immaterial
+    best_w, best_vm, best_cover = -1, 0, covered
 
-    return _best_candidate(inst, candidates, covered)
+    def offer(vm: int, cover: int, w):
+        nonlocal best_w, best_vm, best_cover
+        if vm.bit_count() < budget:
+            vm, cover = _pad_mask(inst, vm, banned, budget, cover)
+            w = inst.mask_weight(cover & not_cov)
+        if w > best_w or w == best_w and _lex_less(vm, best_vm):
+            best_w, best_vm, best_cover = w, vm, cover
+
+    # the direct base run at full budget makes "alg2 >= base" structural.
+    # The base runs at each reduced budget b come with their gains state;
+    # greedy's are the first budget - c steps of its traced direct run,
+    # which is traced only when such a step exists
+    if seeded and budget > c:
+        trace = []
+        bm, bw, cov_b = _greedy_picks(inst, gains[:], unit, covered, budget,
+                                      trace)
+        runs = trace[:budget - c]
+    else:
+        bm, bw, cov_b = base.run_masked(inst, banned, covered, budget)
+        runs = []
+        for b in range(1, budget - c + 1):
+            rm, rw, cov_r = base.run_masked(inst, banned, covered, b)
+            runs.append((rm, rw, cov_r, _gains(inst, banned | rm, cov_r)[0]))
+    offer(bm, cov_b, bw)
+
+    # each reduced run, completed with the top budget - b block of either
+    # side, ranked by that run's gains
+    for b, (bm, bw, cov_b, g) in enumerate(runs, 1):
+        for side in (Side.LEFT, Side.RIGHT):
+            block = _top_block(inst, side, budget - b, g)
+            tm = 0
+            cover = cov_b
+            for v in block:
+                tm |= 1 << v
+                cover |= inc[v]
+            offer(bm | tm, cover, bw + sum(g[v] for v in block) * scale)
+
+    # every small vertex set S, removed with its covered edges, base on the
+    # rest.  No candidate built on S covers more than its bound: w(new
+    # cover of S) plus the top budget - |S| residual gains, and no
+    # candidate at all covers more than `reach`, the uncovered weight
+    # that some allowed vertex touches.  S is skipped when its bound is
+    # strictly below the incumbent, or when the best it can do is tie and
+    # even the lexicographically first set holding S loses that tie, so
+    # a tie that could win on the lex rule still runs.  Enumerating by
+    # entry gain (descending), the prefix sums of that order bound every
+    # partial set; the bound falls along a level, so the first failure
+    # ends the level.
+    order = sorted(allowed, key=lambda v: (-gains[v], v))
+    top = [gains[v] * scale for v in order]
+    prefix = [0, *accumulate(top)]
+    size = len(order)
+    bits = [1 << v for v in order]
+    incs = [inc[v] for v in order]
+    reach = inst.mask_weight(not_cov & _cover_of_mask(inst, sum(bits)))
+
+    # each edge's endpoints and its weight in gain units
+    ends = [(l, n_left + r, 1 if unit is not None else w)
+            for l, r, w in inst.edges]
+
+    def loses_tie(sm):
+        first, _ = _pad_mask(inst, sm, banned, budget, 0)
+        return not _lex_less(first, best_vm)
+
+    def settle(sm, cov_s, pos):
+        cm = covered | cov_s
+        rest = budget - len(pos)
+        if rest == 0:
+            offer(sm, cm, inst.mask_weight(cov_s & not_cov))
+            return
+        g = gains[:]
+        ws = 0
+        new = cov_s & not_cov
+        while new:
+            low = new & -new
+            l, r, w = ends[low.bit_length() - 1]
+            g[l] -= w
+            g[r] -= w
+            ws += w
+            new ^= low
+        ws *= scale
+        for p in pos:
+            g[order[p]] = -1
+        bound = ws + sum(sorted(g, reverse=True)[:rest]) * scale
+        if bound < best_w or bound == best_w and loses_tie(sm):
+            return
+        if seeded:
+            rm, rw, cov_r = _greedy_picks(inst, g, unit, cm, rest)
+        else:
+            rm, rw, cov_r = base.run_masked(inst, banned | sm, cm, rest)
+        offer(sm | rm, cov_r, ws + rw)
+
+    def grow(pos, sm, cov_s, l):
+        # the best completion of pos + [i] takes its other budget - j
+        # members from the top of the order; those of pos inside that
+        # window are already counted by the prefix sum
+        j = len(pos) + 1
+        r = budget - j
+        s = 0
+        while s < j - 1 and pos[s] < r + s:
+            s += 1
+        a = prefix[r + s]
+        for p in pos[s:]:
+            a += top[p]
+        for i in range(pos[-1] + 1 if pos else 0, size - l + j):
+            bound = a + top[i]
+            if bound < best_w:
+                break
+            if ((bound == best_w or best_w == reach)
+                    and loses_tie(sm | bits[i])):
+                continue
+            if j < l:
+                grow(pos + [i], sm | bits[i], cov_s | incs[i], l)
+            else:
+                settle(sm | bits[i], cov_s | incs[i], pos + [i])
+
+    for l in range(1, min(c, budget) + 1):
+        grow([], 0, 0, l)
+
+    return best_vm, inst.mask_weight(best_cover & not_cov), best_cover
 
 
 def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolution:
     """Candidate-pool amplification of a base solver.
 
-    Pools three candidate families and returns the best by covered weight:
-    the base run itself; base runs at budget k-l completed with the top-l
-    block of either side (l from k-1 down to c); and, for every vertex set C
-    of size at most c, C plus a base run on the graph with C and its covered
-    edges deleted.  Carries guarantee improve_ratio(base.rho).
+    Pools three candidate families and returns the best by covered weight
+    (ties to the lexicographically smallest vertex set): the base run
+    itself; base runs at budget k-l completed with the top-l block of
+    either side (l from k-1 down to c); and, for every vertex set C of size
+    at most c, C plus a base run on the graph with C and its covered edges
+    deleted.  A set C cannot win, and its base run is skipped, when its
+    bound (the weight C newly covers plus the top k-|C| residual vertex
+    gains) is strictly below the best candidate so far, or when C can at
+    best tie it and even the lexicographically first k-set holding C sorts
+    after it; the result is that of the whole pool.  Carries guarantee
+    improve_ratio(base.rho).
     """
     return _mask_solution(inst, _alg2_masked(inst, c, base, 0, 0, inst.k)[0])
 
@@ -556,7 +675,7 @@ _KINDS = {
     SolverKind.ALG1: _Kind(
         label=lambda spec: (f"alg1[x={spec.x_size},{_side_tag(spec.side)}]"
                             f"({spec.base.label()})"),
-        rho=lambda spec, base: base.rho,
+        rho=_alg1_rho,
         needs_base=True,
         run=lambda s, inst: solve_alg1(inst, s.spec.x_size, s.base,
                                        s.spec.side),

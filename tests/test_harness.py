@@ -307,6 +307,13 @@ def test_cli_bench_writes_csv(tmp_path):
     assert len(lines) == 1 + 4 + 4
 
 
+def test_cli_bench_unknown_solver_is_a_usage_error(tmp_path, capsys):
+    _write_k22(tmp_path)
+    assert main(["bench", str(tmp_path), "--solvers", "greedy,foo"]) == 64
+    err = capsys.readouterr().err
+    assert "unknown solver 'foo'" in err and "greedy" in err and "ptas" in err
+
+
 def test_cli_bench_oracle_infeasible_exits_one(tmp_path, capsys):
     path = tmp_path / "big.mkvc"
     edges = "\n".join(f"e {i} {j} 1" for i in range(12) for j in range(12))

@@ -13,7 +13,8 @@ from mkvc import (
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
-    GREEDY_RHO, _greedy_masked, _mask_solution, _pad_mask,
+    GREEDY_RHO, _alg2_masked, _greedy_masked, _lex_less, _mask_ids,
+    _mask_solution, _pad_mask, _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -177,6 +178,15 @@ def test_alg2_beats_greedy_on_bait_family():
     opt = solve_exact(inst).covered_weight
     assert g < opt
     assert a == opt
+
+
+def test_alg2_tie_at_the_bound_goes_to_the_lex_first_set():
+    # greedy takes the centre R0 first.  S = {L0, L1, L2} then ties it at 4,
+    # exactly its bound, and S + L3 is the lexicographically first optimum
+    star = BipartiteInstance(4, 1, [(i, 0, 1) for i in range(4)], 4)
+    assert solve_greedy(star).vertices == {L(0), L(1), L(2), R(0)}
+    assert (solve_alg2(star, 3, greedy_solver()).vertices
+            == {L(0), L(1), L(2), L(3)})
 
 
 def test_alg2_rejects_small_c(k22):
@@ -441,11 +451,11 @@ def _rescan_greedy(inst, banned, covered, budget):
 
 
 @st.composite
-def weighted_instances(draw):
+def weighted_instances(draw, max_side=5):
     """An instance with int, zero, uniform, uniform-Fraction or
     mixed-Fraction weights (density 0 gives m=0), at budget 0."""
-    nl = draw(st.integers(1, 5))
-    nr = draw(st.integers(1, 5))
+    nl = draw(st.integers(1, max_side))
+    nr = draw(st.integers(1, max_side))
     kind = draw(st.sampled_from(
         ["int", "zero", "uniform", "uniform_fraction", "mixed_fraction"]))
     if kind == "int":
@@ -522,6 +532,101 @@ def test_masked_alg1_matches_residual_reference(inst, data):
                 assert type(got.covered_weight) is type(want.covered_weight)
 
 
+def _pooled_alg2(inst, c, base, banned, covered, budget):
+    """Reference alg2: pool every candidate (padded to `budget`, first copy
+    of each vertex set kept), then take the maximum newly covered weight,
+    ties to the lexicographically smallest sorted-id tuple."""
+    if c <= 2:
+        raise MkvcError("c must be > 2")
+    inc = inst._inc
+    candidates = []
+    seen = set()
+
+    def add(vm, cover):
+        vm, cover = _pad_mask(inst, vm, banned, budget, cover)
+        if vm not in seen:
+            seen.add(vm)
+            candidates.append((vm, cover))
+
+    bm, _, cov_b = base.run_masked(inst, banned, covered, budget)
+    add(bm, cov_b)
+    for l in range(budget - 1, c - 1, -1):
+        bm, _, cov_b = base.run_masked(inst, banned, covered, budget - l)
+        for side in (Side.LEFT, Side.RIGHT):
+            tm, _, cov_t = _top_side_masked(inst, side, l, banned | bm, cov_b)
+            add(bm | tm, cov_t)
+    allowed = [v for v in range(inst.n) if not banned >> v & 1]
+    for l in range(min(c, budget), 0, -1):
+        for sub in combinations(allowed, l):
+            sm = 0
+            cm = covered
+            for v in sub:
+                sm |= 1 << v
+                cm |= inc[v]
+            if budget > l:
+                bm, _, cov_b = base.run_masked(inst, banned | sm, cm, budget - l)
+                add(sm | bm, cov_b)
+            else:
+                add(sm, cm)
+
+    def lex_key(vm):
+        return tuple(v for v in range(inst.n) if vm >> v & 1)
+
+    best = best_w = best_cover = None
+    for vm, cover in candidates:
+        w = inst.mask_weight(cover & ~covered)
+        if (best is None or w > best_w
+                or w == best_w and lex_key(vm) < lex_key(best)):
+            best, best_w, best_cover = vm, w, cover
+    return best, best_w, best_cover
+
+
+ALG2_BASES = {
+    "greedy": SolverSpec(SolverKind.GREEDY),
+    "exact": SolverSpec(SolverKind.EXACT),
+    "topside_L": SolverSpec(SolverKind.TOP_SIDE, side=Side.LEFT),
+    "topside_R": SolverSpec(SolverKind.TOP_SIDE, side=Side.RIGHT),
+    "alg1_greedy": SolverSpec(SolverKind.ALG1, x_size=1,
+                              base=SolverSpec(SolverKind.GREEDY)),
+    "alg2_greedy": SolverSpec(SolverKind.ALG2,
+                              base=SolverSpec(SolverKind.GREEDY)),
+}
+
+
+@st.composite
+def alg2_cases(draw):
+    """A weighted instance with random banned vertices and covered edges,
+    a base solver and c; the nested amplifier gets at most 3 + 3 vertices."""
+    name = draw(st.sampled_from(sorted(ALG2_BASES)))
+    inst = draw(weighted_instances(max_side=3 if name == "alg2_greedy" else 5))
+    banned = draw(st.integers(0, (1 << inst.n) - 1))
+    covered = draw(st.integers(0, inst._full_mask))
+    c = draw(st.sampled_from([3, 4]))
+    return inst, banned, covered, c, build_solver(ALG2_BASES[name])
+
+
+@given(alg2_cases())
+@settings(max_examples=300, deadline=None)
+def test_masked_alg2_matches_pooled_reference(case):
+    inst, banned, covered, c, base = case
+    for budget in range(inst.n - banned.bit_count() + 1):
+        got = _alg2_masked(inst, c, base, banned, covered, budget)
+        want = _pooled_alg2(inst, c, base, banned, covered, budget)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1] == want[1] and type(got[1]) is type(want[1])
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_lex_order_of_equal_size_masks_is_lowest_differing_id(size, data):
+    ids = st.lists(st.integers(0, 40), min_size=size, max_size=size,
+                   unique=True)
+    a = sum(1 << v for v in data.draw(ids))
+    b = sum(1 << v for v in data.draw(ids))
+    want = sorted(_mask_ids(a)) < sorted(_mask_ids(b))
+    assert _lex_less(a, b) == want
+
+
 def test_generic_masked_fallback_via_residual():
     inst = BipartiteInstance(3, 3, [(i, j, 1) for i in range(3) for j in range(3)], 2)
     solver = build_solver(SolverSpec(SolverKind.SEMI_REGULAR))
@@ -542,6 +647,14 @@ def test_build_solver_rhos():
                                   base=SolverSpec(SolverKind.GREEDY),
                                   epsilon=Fraction(1, 5)))
     assert sch.rho == Fraction(4, 5)
+
+
+def test_build_solver_rejects_negative_prefix():
+    # a negative x_size would slice all but the last vertices of the side
+    nested = SolverSpec(SolverKind.ALG2, base=SolverSpec(
+        SolverKind.ALG1, x_size=-1, base=SolverSpec(SolverKind.GREEDY)))
+    with pytest.raises(MkvcError, match="x_size=-1"):
+        build_solver(nested)
 
 
 def test_build_solver_requires_base():
