@@ -241,39 +241,40 @@ def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
 
     The literal equality reading fails for arbitrary X (a best subset can
     privately hold more than the worst subset's share), so the inequality
-    plus the partition identity is what is asserted.  The worst coverage
-    of each size is computed once and shared by that size's subsets.  O is
-    re-verified against the exhaustive oracle unless its value is passed
-    in.  Used by the verification harness."""
-    refs, opt = _verify_optimal(inst, O, opt)
-    ordered = sorted(refs)
-    cov_all = inst.cover_mask_of(refs)
-    if inst.mask_weight(cov_all) != opt:
-        return False
-    masks = [inst.cover_mask_of([r]) for r in ordered]
+    plus the partition identity is what is asserted.
 
-    for size in range(len(ordered) + 1):
-        worst = None
-        combos = []
-        for comb in combinations(range(len(ordered)), size):
-            m = 0
-            for i in comb:
-                m |= masks[i]
-            w = inst.mask_weight(m)
-            combos.append((comb, m, w))
-            if worst is None or w < worst:
-                worst = w
-        for comb, m, w in combos:
-            rest = 0
-            chosen = set(comb)
-            for i in range(len(ordered)):
-                if i not in chosen:
-                    rest |= masks[i]
-            w_rest = inst.mask_weight(rest)
-            if w_rest < opt - w:
-                return False
-            if inst.mask_weight(m & ~rest) + w_rest != opt:
-                return False
-            if w == worst and w_rest < opt - worst:
-                return False
+    Subsets are bitmasks x over the members of O in sorted order.  The
+    edge cover of every x is built once by the low-bit recurrence
+    cov[x] = cov[x ^ low] | cover(member low) and valued once; the worst
+    value of each size is read off that table, and the complement O \\ X
+    is the entry at full ^ x.  O is re-verified against the exhaustive
+    oracle unless its value is passed in.  Used by the verification
+    harness."""
+    refs, opt = _verify_optimal(inst, O, opt)
+    masks = [inst.cover_mask_of([r]) for r in sorted(refs)]
+    full = (1 << len(masks)) - 1
+    cov = [0] * (full + 1)
+    for x in range(1, full + 1):
+        low = x & -x
+        cov[x] = cov[x ^ low] | masks[low.bit_length() - 1]
+    mask_weight = inst.mask_weight
+    w = [mask_weight(m) for m in cov]
+    if w[full] != opt:
+        return False
+    worst = [None] * (len(masks) + 1)
+    for x, v in enumerate(w):
+        size = x.bit_count()
+        if worst[size] is None or v < worst[size]:
+            worst[size] = v
+
+    for x, v in enumerate(w):
+        rest = cov[full ^ x]
+        w_rest = w[full ^ x]
+        if w_rest < opt - v:
+            return False
+        if mask_weight(cov[x] & ~rest) + w_rest != opt:
+            return False
+        worst_v = worst[x.bit_count()]
+        if v == worst_v and w_rest < opt - worst_v:
+            return False
     return True

@@ -22,8 +22,12 @@ def read_instance(path) -> BipartiteInstance:
     seen = set()
     m_expected = 0
     lineno = 0
-    with open(path, "r", encoding="ascii") as fh:
+    # undecodable bytes become lone surrogates, so they reach the line
+    # check below with the same line numbering as a strict decode
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                raise ParseError(lineno, "non-ASCII byte")
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue

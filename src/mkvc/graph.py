@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -35,6 +36,16 @@ class VertexRef(NamedTuple):
     index: int
 
 
+@lru_cache(maxsize=16)
+def _ref_table(n_left: int, n_right: int) -> tuple:
+    """`(refs, ids)` for one shape: refs[v] is the VertexRef of vertex id v
+    and ids maps each ref back to its id.  The only place refs are made;
+    every instance of the shape shares both, so neither may be mutated."""
+    refs = tuple([VertexRef(Side.LEFT, i) for i in range(n_left)]
+                 + [VertexRef(Side.RIGHT, j) for j in range(n_right)])
+    return refs, {ref: v for v, ref in enumerate(refs)}
+
+
 def _check_weight(w):
     if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
         raise MkvcError(f"weight {w!r} is not an exact number (int or Fraction)")
@@ -48,14 +59,15 @@ class BipartiteInstance:
 
     Vertices are addressed either as VertexRef or, internally, as a flat id
     in [0, n): left vertices first (id == index), then right vertices
-    (id == n_left + index).  The budget satisfies 0 <= k < n_left + n_right;
-    k == 0 only arises for residual sub-problems, generators and file input
-    require k >= 1.
+    (id == n_left + index); refs come from one table per shape, shared by
+    every instance of that shape.  The budget satisfies
+    0 <= k < n_left + n_right; k == 0 only arises for residual sub-problems,
+    generators and file input require k >= 1.
     """
 
     __slots__ = (
         "n_left", "n_right", "k", "edges", "m",
-        "_inc", "_uniform", "_full_mask", "_planes",
+        "_inc", "_uniform", "_full_mask", "_planes", "_refs", "_ref_ids",
     )
 
     def __init__(self, n_left: int, n_right: int,
@@ -91,6 +103,7 @@ class BipartiteInstance:
         ws = {w for _, _, w in edge_list}
         self._uniform = ws.pop() if len(ws) == 1 else None
         self._planes = None
+        self._refs, self._ref_ids = _ref_table(n_left, n_right)
 
     # -- addressing -------------------------------------------------------
 
@@ -109,12 +122,12 @@ class BipartiteInstance:
         return idx if side == Side.LEFT else self.n_left + idx
 
     def ref_of(self, vid: int) -> VertexRef:
-        if vid < self.n_left:
-            return VertexRef(Side.LEFT, vid)
-        return VertexRef(Side.RIGHT, vid - self.n_left)
+        if not 0 <= vid < self.n:
+            raise MkvcError(f"vertex id {vid} out of range [0, {self.n})")
+        return self._refs[vid]
 
     def all_refs(self) -> list[VertexRef]:
-        return [self.ref_of(v) for v in range(self.n)]
+        return list(self._refs)
 
     # -- edge-set arithmetic ----------------------------------------------
 
@@ -127,7 +140,19 @@ class BipartiteInstance:
         return mask
 
     def cover_mask_of(self, refs: Iterable[VertexRef]) -> int:
-        return self.cover_mask(self.vertex_id(r) for r in refs)
+        """`cover_mask` of the ids of the given refs.  Refs are looked up in
+        the shape's table; any other value (an out-of-range or unhashable
+        ref) goes through `vertex_id`, which checks it."""
+        inc = self._inc
+        ids = self._ref_ids
+        mask = 0
+        for r in refs:
+            try:
+                v = ids[r]
+            except (KeyError, TypeError):
+                v = self.vertex_id(r)
+            mask |= inc[v]
+        return mask
 
     def mask_weight(self, edge_mask: int):
         """Total weight of the edges in the bitmask; each edge counted once.

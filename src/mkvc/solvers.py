@@ -314,9 +314,11 @@ def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
 
 
 def _ptas_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
+    # the guarantee of the chain that runs, which stops short of 1 - epsilon
+    # when max_depth cuts the schedule
     if spec.epsilon is None:
         raise MkvcError("ptas needs epsilon")
-    return 1 - Fraction(spec.epsilon)
+    return _ptas_chain(spec.epsilon, base, spec.max_depth, spec.c)[0].rho
 
 
 def _residual_masked(solver: RatedSolver, inst, banned: int, covered: int,
@@ -338,9 +340,18 @@ def _residual_masked(solver: RatedSolver, inst, banned: int, covered: int,
 
 
 def _mask_solution(inst, vmask: int) -> CoverSolution:
-    verts = frozenset(inst.ref_of(v) for v in _mask_ids(vmask))
-    value = inst.mask_weight(_cover_of_mask(inst, vmask))
-    return CoverSolution(vertices=verts, covered_weight=value)
+    refs = inst._refs
+    inc = inst._inc
+    verts = []
+    cover = 0
+    while vmask:
+        low = vmask & -vmask
+        v = low.bit_length() - 1
+        verts.append(refs[v])
+        cover |= inc[v]
+        vmask ^= low
+    return CoverSolution(vertices=frozenset(verts),
+                         covered_weight=inst.mask_weight(cover))
 
 
 def solve_greedy(inst: BipartiteInstance) -> CoverSolution:

@@ -3,7 +3,8 @@
 Criteria 1-3 and 7 share two session-scoped sweeps: the exhaustive battery
 over every unweighted bipartite graph with n <= 8 (every budget k < n) and
 1000 seeded random weighted instances with n <= 12.  The exhaustive sweep
-parallelizes over processes (MKVC_SWEEP_JOBS overrides the worker count).
+parallelizes over processes (MKVC_SWEEP_JOBS overrides the worker count)
+and writes a progress line to stderr about every tenth of its chunks.
 Run with `pytest -s tests/test_acceptance.py` to see every line.
 
 Criterion 4's third clause checks whether the amplified ratio is the least
@@ -18,6 +19,7 @@ point below.  See the README's known-defect note.
 import io
 import multiprocessing
 import os
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -49,13 +51,25 @@ def report(criterion: int, ok: bool, detail: str):
 
 def _pool_run(tasks):
     agg = new_aggregate()
+    total = len(tasks)
+    step = max(1, total // 10)
+    t0 = time.perf_counter()
+
+    def merge(done, part):
+        merge_aggregates(agg, part)
+        if done % step == 0 or done == total:
+            print(f"sweep: {done}/{total} chunks, {agg['pairs']} pairs, "
+                  f"{time.perf_counter() - t0:.0f}s", file=sys.stderr,
+                  flush=True)
+
     if WORKERS > 1:
         with multiprocessing.Pool(WORKERS) as pool:
-            for part in pool.imap_unordered(sweep_chunk, tasks, chunksize=1):
-                merge_aggregates(agg, part)
+            parts = pool.imap_unordered(sweep_chunk, tasks, chunksize=1)
+            for done, part in enumerate(parts, 1):
+                merge(done, part)
     else:
-        for task in tasks:
-            merge_aggregates(agg, sweep_chunk(task))
+        for done, task in enumerate(tasks, 1):
+            merge(done, sweep_chunk(task))
     return agg
 
 

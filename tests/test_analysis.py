@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkvc import (
-    BipartiteInstance, MkvcError, Side, VertexRef, cw_lower_bound,
-    improve_ratio, improvement_gap, inverse_improve, minimum_claim_holds,
-    prop1_sweep, ptas_schedule, secondary_bounds, solve_exact, subset_stats,
+    BipartiteInstance, MkvcError, Side, VertexRef, covered_weight,
+    cw_lower_bound, improve_ratio, improvement_gap, inverse_improve,
+    minimum_claim_holds, prop1_sweep, ptas_schedule, secondary_bounds,
+    solve_exact, subset_stats,
 )
+from mkvc.analysis import _verify_optimal
 from mkvc.solvers import GREEDY_RHO
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -195,3 +199,83 @@ def test_prop1_sweep_small_instances():
         inst = unweighted_instance(2, 3, gmask, 2)
         sol = solve_exact(inst)
         assert prop1_sweep(inst, sol.vertices, sol.covered_weight)
+
+
+def _combo_prop1(inst, O, opt=None) -> bool:
+    """Reference for prop1_sweep: the same three checks, with every subset
+    of each size enumerated by `combinations` and every cover rebuilt."""
+    refs, opt = _verify_optimal(inst, O, opt)
+    ordered = sorted(refs)
+    cov_all = inst.cover_mask_of(refs)
+    if inst.mask_weight(cov_all) != opt:
+        return False
+    masks = [inst.cover_mask_of([r]) for r in ordered]
+
+    for size in range(len(ordered) + 1):
+        worst = None
+        combos = []
+        for comb in combinations(range(len(ordered)), size):
+            m = 0
+            for i in comb:
+                m |= masks[i]
+            w = inst.mask_weight(m)
+            combos.append((comb, m, w))
+            if worst is None or w < worst:
+                worst = w
+        for comb, m, w in combos:
+            rest = 0
+            chosen = set(comb)
+            for i in range(len(ordered)):
+                if i not in chosen:
+                    rest |= masks[i]
+            w_rest = inst.mask_weight(rest)
+            if w_rest < opt - w:
+                return False
+            if inst.mask_weight(m & ~rest) + w_rest != opt:
+                return False
+            if w == worst and w_rest < opt - worst:
+                return False
+    return True
+
+
+@st.composite
+def prop1_instances(draw):
+    """Small graphs with int, all-zero, uniform or mixed int and Fraction
+    weights, at any budget 0 <= k < n (k = 0 gives |O| = 0)."""
+    kind = draw(st.sampled_from(["int", "zero", "uniform", "mixed_fraction"]))
+    nl, nr = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if kind == "int":
+        weights = st.integers(0, 9)
+    elif kind == "zero":
+        weights = st.just(0)
+    elif kind == "uniform":
+        weights = st.just(draw(st.integers(1, 5)))
+    else:
+        weights = st.one_of(st.integers(0, 6),
+                            st.fractions(0, 6, max_denominator=12))
+    edges = [(i, j, draw(weights)) for i in range(nl) for j in range(nr)
+             if draw(st.booleans())]
+    return BipartiteInstance(nl, nr, edges, draw(st.integers(0, nl + nr - 1)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_prop1_subset_dp_matches_combinations(data):
+    inst = data.draw(prop1_instances())
+    sol = solve_exact(inst)
+    for opt in (None, sol.covered_weight):
+        assert prop1_sweep(inst, sol.vertices, opt) is True
+        assert _combo_prop1(inst, sol.vertices, opt) is True
+
+    refs = inst.all_refs()
+    other = data.draw(st.sets(st.sampled_from(refs), max_size=inst.k))
+    if covered_weight(inst, other) < sol.covered_weight:
+        for check in (prop1_sweep, _combo_prop1):
+            with pytest.raises(MkvcError, match="not optimal"):
+                check(inst, other)
+    # k < n, so some vertex lies outside O
+    bigger = set(sol.vertices) | {data.draw(st.sampled_from(
+        [r for r in refs if r not in sol.vertices]))}
+    for check in (prop1_sweep, _combo_prop1):
+        with pytest.raises(MkvcError, match="larger than the budget"):
+            check(inst, bigger)

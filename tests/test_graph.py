@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from mkvc import (
     BipartiteInstance, MkvcError, Side, VertexRef, covered_weight,
-    greedy_solver, residual, solve_alg1, solve_top_side,
+    exact_solver, greedy_solver, residual, solve_alg1, solve_alg2,
+    solve_exact, solve_greedy, solve_ptas, solve_semiregular_exact,
+    solve_top_side,
 )
 from mkvc.solvers import _top_side_masked
 
@@ -66,6 +68,66 @@ def test_covered_weight_counts_each_edge_once(k22):
 def test_covered_weight_invalid_vertex(k22):
     with pytest.raises(MkvcError, match="vertex out of range"):
         covered_weight(k22, {L(5)})
+
+
+# -- the per-shape ref table ------------------------------------------------
+
+def test_refs_come_from_one_table_per_shape(k22):
+    other = BipartiteInstance(2, 2, [(0, 0, 5)], 1)
+    assert k22.all_refs() == [L(0), L(1), R(0), R(1)]
+    assert all(k22.ref_of(v) is other.ref_of(v) for v in range(4))
+    assert all(k22.vertex_id(k22.ref_of(v)) == v for v in range(4))
+
+
+def test_ref_of_rejects_ids_outside_the_instance(k22):
+    for vid in (-1, 4):
+        with pytest.raises(MkvcError, match=f"vertex id {vid} out of range"):
+            k22.ref_of(vid)
+
+
+@given(st.data())
+@settings(max_examples=120)
+def test_plain_tuples_value_like_refs(data):
+    inst = data.draw(instances())
+    refs = data.draw(subset_strategy(inst))
+    by_id = inst.cover_mask(inst.vertex_id(r) for r in refs)
+    for form in ([(int(s), i) for s, i in refs], [(s, i) for s, i in refs],
+                 [[int(s), i] for s, i in refs]):
+        assert inst.cover_mask_of(form) == inst.cover_mask_of(refs) == by_id
+    tuples = {(int(s), i) for s, i in refs}
+    assert covered_weight(inst, tuples) == covered_weight(inst, refs)
+
+
+@pytest.mark.parametrize("ref, text", [
+    (VertexRef(Side.LEFT, 2), "VertexRef(side=<Side.LEFT: 0>, index=2)"),
+    (VertexRef(Side.RIGHT, -1), "VertexRef(side=<Side.RIGHT: 1>, index=-1)"),
+    ((0, 7), "(0, 7)"),
+    ((1, 2), "(1, 2)"),
+    ([1, 2], "[1, 2]"),
+])
+def test_out_of_range_refs_keep_their_error_text(k22, ref, text):
+    for call in (lambda: covered_weight(k22, [L(0), ref]),
+                 lambda: k22.cover_mask_of([ref]),
+                 lambda: k22.vertex_id(ref)):
+        with pytest.raises(MkvcError) as err:
+            call()
+        assert str(err.value) == f"vertex out of range: {text}"
+
+
+def test_solver_outputs_hold_vertex_refs():
+    inst = BipartiteInstance(3, 3, [(0, 0, 4), (0, 1, 1), (1, 1, 3),
+                                    (1, 2, 2), (2, 0, 5), (2, 2, 1)], 2)
+    k33 = BipartiteInstance(3, 3, [(i, j, 1) for i in range(3)
+                                   for j in range(3)], 2)
+    for sol in (solve_greedy(inst), solve_exact(inst),
+                solve_top_side(inst, Side.RIGHT),
+                solve_alg1(inst, 1, greedy_solver()),
+                solve_alg2(inst, 3, greedy_solver()),
+                solve_ptas(inst, Fraction(1, 10), exact_solver(), 1),
+                solve_semiregular_exact(k33)):
+        assert sol.vertices
+        assert all(type(r) is VertexRef and type(r.side) is Side
+                   for r in sol.vertices)
 
 
 # -- residual ---------------------------------------------------------------

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mkvc import (
     BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
-    VertexRef, build_solver, covered_weight, read_instance, run_matrix,
-    solve_exact, solve_greedy, write_csv, write_instance,
+    VertexRef, build_solver, covered_weight, improve_ratio, read_instance,
+    run_matrix, solve_exact, solve_greedy, write_csv, write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
+from mkvc.solvers import GREEDY_RHO
 from mkvc.verify import run_verification
 
 
@@ -138,6 +140,52 @@ def test_missing_header_rejected(tmp_path):
         read_instance(path)
 
 
+@pytest.mark.parametrize("body, line", [
+    (b"c caf\xc3\xa9\np mkvc 2 2 1 1\ne 0 0 1\n", 1),
+    (b"p mkvc 2 2 1 1\r\ne 0 0 1\xff\n", 2),
+    (b"p mkvc 2 2 1 1\re 0 0 1\n\x80", 3),
+])
+def test_non_ascii_byte_is_a_parse_error(tmp_path, capsys, body, line):
+    path = tmp_path / "u.mkvc"
+    path.write_bytes(body)
+    with pytest.raises(ParseError, match=f"line {line}: non-ASCII byte"):
+        read_instance(path)
+    assert main(["solve", str(path), "--algorithm", "greedy"]) == 1
+    assert main(["bench", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line {line}: non-ASCII byte"] * 2
+
+
+_TOKENS = st.one_of(st.sampled_from([b"p", b"e", b"c", b"mkvc", b"x", b""]),
+                    st.integers(-2, 6).map(lambda i: str(i).encode()),
+                    st.binary(max_size=3))
+
+
+@st.composite
+def instance_bytes(draw):
+    """Arbitrary bytes, or lines of header, edge and comment tokens with
+    arbitrary bytes mixed in and any line ending."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    lines = draw(st.lists(st.lists(_TOKENS, max_size=7).map(b" ".join),
+                          max_size=8))
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return end.join(lines)
+
+
+@given(instance_bytes())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_instance_fuzz_returns_or_raises_mkvc_error(tmp_path, data):
+    path = tmp_path / "fuzz.mkvc"
+    path.write_bytes(data)
+    try:
+        inst = read_instance(path)
+    except MkvcError:
+        return
+    assert isinstance(inst, BipartiteInstance)
+
+
 def test_rational_weights_not_serializable(tmp_path):
     inst = BipartiteInstance(1, 1, [(0, 0, Fraction(1, 3))], 1)
     with pytest.raises(MkvcError, match="non-integer"):
@@ -244,6 +292,26 @@ def test_cli_solve_with_scaling(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "scaled_value" in out and "value 4" in out
     assert "transfer_guarantee" in out
+
+
+@pytest.mark.filterwarnings("ignore:depth clamped")
+@pytest.mark.parametrize("depth", [1, 2])
+def test_cli_ptas_transfer_guarantee_is_the_executed_chains(tmp_path, capsys,
+                                                            depth):
+    # eps = 1/10 needs far more than two passes from greedy, so the printed
+    # guarantee is that of the passes that ran, not 1 - eps - 1/(4n)
+    path = tmp_path / "g12.mkvc"
+    write_instance(generate(GenSpec(kind=GenKind.UNIFORM_RANDOM, n_left=6,
+                                    n_right=6, seed=3, k=3)), path)
+    assert main(["solve", str(path), "--algorithm", "ptas", "--scale-ell",
+                 "3", "--max-depth", str(depth)]) == 0
+    fields = dict(line.split(" ", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    rho = GREEDY_RHO
+    for _ in range(depth):
+        rho = improve_ratio(rho)
+    assert Fraction(fields["transfer_guarantee"]) == rho - Fraction(1, 48)
+    assert fields["transfer_guarantee"] != "211/240"
 
 
 @pytest.mark.filterwarnings("ignore:depth clamped")

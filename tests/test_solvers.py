@@ -646,7 +646,9 @@ def test_build_solver_rhos():
     sch = build_solver(SolverSpec(SolverKind.PTAS,
                                   base=SolverSpec(SolverKind.GREEDY),
                                   epsilon=Fraction(1, 5)))
-    assert sch.rho == Fraction(4, 5)
+    # the schedule from greedy to 4/5 is longer than max_depth=2, so the
+    # guarantee is that of the two passes that run, not 1 - epsilon
+    assert sch.rho == improve_ratio(improve_ratio(GREEDY_RHO)) < Fraction(4, 5)
 
 
 def test_build_solver_rejects_negative_prefix():
