@@ -63,12 +63,8 @@ def secondary_bounds(rho) -> tuple:
 
 
 def minimum_claim_holds(rho) -> bool:
-    """Whether improve_ratio(rho) is <= both secondary case bounds.
-
-    Exact algebra shows this holds iff rho >= 1/2 for the first bound and
-    iff rho >= 3/4 for the second, so the combined claim is true exactly on
-    [3/4, 1] and false below (counterexample rho=1/4: 13/25 > 5/11).
-    """
+    """Whether improve_ratio(rho) is <= both secondary case bounds: true
+    exactly on [3/4, 1], false below (13/25 > 5/11 at rho = 1/4)."""
     r = improve_ratio(rho)
     b1, b2 = secondary_bounds(rho)
     return r <= b1 and r <= b2

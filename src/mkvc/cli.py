@@ -18,7 +18,8 @@ from .generate import GenKind, GenSpec, generate
 from .graph import Side, covered_weight
 from .reduction import ratio_transfer, scale_weights
 from .solvers import (
-    ORACLE_BUDGET, SolverKind, SolverSpec, build_solver, needs_base,
+    BASE_KINDS, ORACLE_BUDGET, SolverKind, SolverSpec, build_solver,
+    needs_base,
 )
 from .verify import run_verification
 
@@ -38,6 +39,13 @@ def _side(text: str) -> Side:
     if text in ("right", "R"):
         return Side.RIGHT
     raise argparse.ArgumentTypeError("side must be left or right")
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
 def _build_parser() -> _Parser:
@@ -63,12 +71,11 @@ def _build_parser() -> _Parser:
     solve.add_argument("--algorithm", required=True,
                        choices=[k.value for k in SolverKind])
     solve.add_argument("--base", default="greedy",
-                       choices=[k.value for k in SolverKind
-                                if not needs_base(k)])
+                       choices=[k.value for k in BASE_KINDS])
     solve.add_argument("--c", type=int, default=3)
     solve.add_argument("--x-size", type=int, default=0)
     solve.add_argument("--side", type=_side, default=Side.LEFT)
-    solve.add_argument("--epsilon", type=Fraction, default=Fraction(1, 10))
+    solve.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10))
     solve.add_argument("--max-depth", type=int, default=2)
     solve.add_argument("--scale-ell", type=int, default=None)
     solve.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)

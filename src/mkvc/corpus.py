@@ -22,6 +22,18 @@ from .solvers import (
 
 GREEDY_FLOOR = (63, 100)           # safe under-approximation of 1 - 1/e
 ALG2_FLOOR = Fraction(67597, 100000)
+CHUNK_GRAPHS = 2048                # graph masks per exhaustive-sweep task
+
+# each violation count of a sweep aggregate and its `mkvc verify` line
+SWEEP_CHECKS = {
+    "feasibility": "every solver returns its full budget",
+    "self_consistency": "reported values match recomputation",
+    "dominance": "no solver exceeds the oracle",
+    "greedy_floor": "greedy value >= 63/100 of optimum",
+    "greedy_kn": "greedy value >= (k/n) of optimum",
+    "alg2_vs_greedy": "amplifier never below greedy",
+    "prop1": "remaining-optimum identity sweep",
+}
 
 
 def ordered_shapes(max_n: int):
@@ -49,13 +61,7 @@ def _merge_min(agg, key, frac):
 def new_aggregate() -> dict:
     return {
         "pairs": 0,
-        "feasibility": 0,
-        "self_consistency": 0,
-        "dominance": 0,
-        "greedy_floor": 0,
-        "greedy_kn": 0,
-        "alg2_vs_greedy": 0,
-        "prop1": 0,
+        **dict.fromkeys(SWEEP_CHECKS, 0),
         "greedy_min_ratio": None,
         "alg2_min_ratio": None,
         "examples": [],
@@ -63,8 +69,7 @@ def new_aggregate() -> dict:
 
 
 def merge_aggregates(total: dict, part: dict) -> dict:
-    for key in ("pairs", "feasibility", "self_consistency", "dominance",
-                "greedy_floor", "greedy_kn", "alg2_vs_greedy", "prop1"):
+    for key in ("pairs", *SWEEP_CHECKS):
         total[key] += part[key]
     _merge_min(total, "greedy_min_ratio", part["greedy_min_ratio"])
     _merge_min(total, "alg2_min_ratio", part["alg2_min_ratio"])
@@ -78,8 +83,7 @@ def _note(agg, key, text):
         agg["examples"].append(text)
 
 
-def check_instance(inst: BipartiteInstance, agg: dict, tag: str,
-                   run_alg2: bool = True, run_prop1: bool = True) -> None:
+def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
     """Run the battery on one instance and fold results into the aggregate."""
     k = inst.k
     base = greedy_solver()
@@ -87,19 +91,15 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str,
     opt = opt_sol.covered_weight
     agg["pairs"] += 1
 
-    battery = [("exact", opt_sol, k)]
     g = solve_greedy(inst)
-    battery.append(("greedy", g, k))
+    battery = [("exact", opt_sol, k), ("greedy", g, k)]
     for side in (Side.LEFT, Side.RIGHT):
-        ts = solve_top_side(inst, side)
-        battery.append((f"topside{side.name[0]}", ts,
+        battery.append((f"topside{side.name[0]}", solve_top_side(inst, side),
                         min(k, inst.side_size(side))))
-    a1 = solve_alg1(inst, min(k, inst.n_left, (k + 1) // 2), base)
-    battery.append(("alg1", a1, k))
-    a2 = None
-    if run_alg2:
-        a2 = solve_alg2(inst, 3, base)
-        battery.append(("alg2", a2, k))
+    battery.append(("alg1", solve_alg1(
+        inst, min(k, inst.n_left, (k + 1) // 2), base), k))
+    a2 = solve_alg2(inst, 3, base)
+    battery.append(("alg2", a2, k))
 
     for name, sol, want in battery:
         if len(sol.vertices) != want:
@@ -116,46 +116,41 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str,
         _note(agg, "greedy_kn", f"{tag}: greedy below (k/n)*opt")
     if opt > 0:
         _merge_min(agg, "greedy_min_ratio", Fraction(g.covered_weight, opt))
-    if a2 is not None:
-        if a2.covered_weight < g.covered_weight:
-            _note(agg, "alg2_vs_greedy", f"{tag}: alg2 {a2.covered_weight} "
-                  f"< greedy {g.covered_weight}")
-        if opt > 0:
-            _merge_min(agg, "alg2_min_ratio", Fraction(a2.covered_weight, opt))
+    if a2.covered_weight < g.covered_weight:
+        _note(agg, "alg2_vs_greedy", f"{tag}: alg2 {a2.covered_weight} "
+              f"< greedy {g.covered_weight}")
+    if opt > 0:
+        _merge_min(agg, "alg2_min_ratio", Fraction(a2.covered_weight, opt))
 
-    if run_prop1 and not prop1_sweep(inst, opt_sol.vertices, opt):
+    if not prop1_sweep(inst, opt_sol.vertices, opt):
         _note(agg, "prop1", f"{tag}: remaining-optimum check failed")
 
 
 def sweep_chunk(args) -> dict:
     """Worker: all (graph, k) pairs for the graph masks of one shape, given
     as a range or a tuple of masks."""
-    nl, nr, masks, run_alg2, run_prop1 = args
+    nl, nr, masks = args
     agg = new_aggregate()
     n = nl + nr
     for gmask in masks:
         inst1 = unweighted_instance(nl, nr, gmask, 1)
         for k in range(1, n):
             inst = inst1.with_budget(k)
-            check_instance(inst, agg, f"u{nl}x{nr}/g{gmask}/k{k}",
-                           run_alg2=run_alg2, run_prop1=run_prop1)
+            check_instance(inst, agg, f"u{nl}x{nr}/g{gmask}/k{k}")
     return agg
 
 
-def sweep_tasks(max_n: int, chunk_graphs: int = 4096,
-                run_alg2: bool = True, run_prop1: bool = True):
+def sweep_tasks(max_n: int):
     """Chunked task list covering every unweighted graph with n <= max_n."""
     tasks = []
     for nl, nr in ordered_shapes(max_n):
         total = 1 << (nl * nr)
-        for lo in range(0, total, chunk_graphs):
-            tasks.append((nl, nr, range(lo, min(lo + chunk_graphs, total)),
-                          run_alg2, run_prop1))
+        for lo in range(0, total, CHUNK_GRAPHS):
+            tasks.append((nl, nr, range(lo, min(lo + CHUNK_GRAPHS, total))))
     return tasks
 
 
-def sampled_sweep_tasks(max_n: int, per_shape: int, seed: int,
-                        run_alg2: bool = True, run_prop1: bool = True):
+def sampled_sweep_tasks(max_n: int, per_shape: int, seed: int):
     """Seeded graph samples per shape, one task per shape (used by the
     quick verification suite)."""
     rng = random.Random(seed)
@@ -166,16 +161,15 @@ def sampled_sweep_tasks(max_n: int, per_shape: int, seed: int,
             masks = range(total)
         else:
             masks = tuple(sorted(rng.sample(range(total), per_shape)))
-        tasks.append((nl, nr, masks, run_alg2, run_prop1))
+        tasks.append((nl, nr, masks))
     return tasks
 
 
-def check_chunk(named_instances, run_alg2: bool = True,
-                run_prop1: bool = False) -> dict:
+def check_chunk(named_instances) -> dict:
     """Worker for pre-built (id, instance) lists such as the random corpora."""
     agg = new_aggregate()
     for iid, inst in named_instances:
-        check_instance(inst, agg, iid, run_alg2=run_alg2, run_prop1=run_prop1)
+        check_instance(inst, agg, iid)
     return agg
 
 

@@ -56,6 +56,9 @@ def generate(spec: GenSpec) -> BipartiteInstance:
     drag the greedy away from the one-side optimum.  Complete is the full
     bipartite graph.
     """
+    if not 0 <= spec.weight_min <= spec.weight_max:
+        raise MkvcError(f"weights need 0 <= weight_min={spec.weight_min} "
+                        f"<= weight_max={spec.weight_max}")
     rng = random.Random(spec.seed)
     n = spec.n_left + spec.n_right
     k = spec.k if spec.k is not None else _default_k(n)

@@ -10,16 +10,15 @@ run.  `SolverSpec.label`, `RatedSolver.run`, `RatedSolver.run_masked` and
 
 Solvers share an internal "masked" calling convention: work directly on the
 parent instance with a bitmask of banned vertices and a bitmask of already
-covered edges.  This avoids rebuilding residual instances inside the
-enumeration loops of alg1 and alg2.  Each algorithm has one masked
-implementation, and its public `solve_*` function is that run with nothing
-banned or covered at budget k; only ptas (which reports its schedule) and
-the semi-regular closed form have public paths of their own.  Because
-deletion preserves per-side index order, a masked run and a run on the
-corresponding residual instance pick identical vertices; the tests check
-this for greedy and for alg1 over greedy, exact and top-side bases.  The
-semi-regular solver has no masked form, so its masked run is a run on the
-explicitly built residual instance.
+covered edges, so no solver builds a residual instance.  Each algorithm has
+one masked implementation, and its public `solve_*` function is that run
+with nothing banned or covered at budget k; only ptas (which reports its
+schedule) and the semi-regular closed form have public paths of their own.
+Because deletion preserves per-side index order, a masked run and a run on
+the corresponding residual instance pick identical vertices; the tests
+check this for greedy and for alg1 over greedy, exact and top-side bases.
+The semi-regular closed form has no masked run (deleting a vertex breaks
+regularity), so it cannot be a base solver.
 
 Greedy is split into its fill (`_gains`: every vertex's uncovered incident
 weight) and its pick loop (`_greedy_picks`), and the single-side ranking
@@ -41,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from .analysis import improve_ratio, ptas_schedule
 from .errors import MkvcError
-from .graph import BipartiteInstance, CoverSolution, Side, residual
+from .graph import BipartiteInstance, CoverSolution, Side
 
 ORACLE_BUDGET = 2_000_000
 
@@ -82,23 +81,6 @@ class SolverSpec:
 # Masked runs return (vertex mask, newly covered weight, absolute edge-cover
 # mask), where the cover mask includes the edges that were already covered
 # on entry; carrying it avoids re-deriving covers in the candidate loops.
-
-
-def _mask_ids(mask: int):
-    while mask:
-        low = mask & (-mask)
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _cover_of_mask(inst, vmask: int) -> int:
-    inc = inst._inc
-    out = 0
-    while vmask:
-        low = vmask & (-vmask)
-        out |= inc[low.bit_length() - 1]
-        vmask ^= low
-    return out
 
 
 def _pad_mask(inst, vmask: int, banned: int, count: int, cover: int):
@@ -261,6 +243,8 @@ class RatedSolver:
     spec: SolverSpec
     rho: Fraction
     base: "RatedSolver | None" = field(default=None, repr=False)
+    # ptas only: the (amplifier chain, schedule, depth) it runs
+    chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def label(self) -> str:
         return self.spec.label()
@@ -269,8 +253,11 @@ class RatedSolver:
         return _KINDS[self.spec.kind].run(self, inst)
 
     def run_masked(self, inst, banned: int, covered: int, budget: int):
-        return _KINDS[self.spec.kind].masked(self, inst, banned, covered,
-                                             budget)
+        masked = _KINDS[self.spec.kind].masked
+        if masked is None:
+            raise MkvcError(f"{self.spec.kind.value} has no masked run, so "
+                            "it cannot be a base")
+        return masked(self, inst, banned, covered, budget)
 
 
 def greedy_solver() -> RatedSolver:
@@ -292,6 +279,14 @@ def _rated(spec: SolverSpec, base: RatedSolver | None) -> RatedSolver:
     kind = _KINDS[spec.kind]
     if kind.needs_base and base is None:
         raise MkvcError(f"{spec.kind.value} needs a base solver")
+    if base is not None and _KINDS[base.spec.kind].masked is None:
+        raise MkvcError(f"{base.spec.kind.value} has no masked run, so it "
+                        "cannot be a base")
+    if spec.kind is SolverKind.PTAS:
+        # rated by the chain that runs, short of 1 - epsilon at a depth cap
+        chain = _ptas_chain(spec.epsilon, base, spec.max_depth, spec.c)
+        return RatedSolver(spec=spec, rho=chain[0].rho, base=base,
+                           chain=chain)
     return RatedSolver(spec=spec, rho=kind.rho(spec, base), base=base)
 
 
@@ -311,28 +306,6 @@ def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
     if spec.c <= 2:
         raise MkvcError("c must be > 2")
     return improve_ratio(base.rho)
-
-
-def _ptas_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
-    # the guarantee of the chain that runs, which stops short of 1 - epsilon
-    # when max_depth cuts the schedule
-    if spec.epsilon is None:
-        raise MkvcError("ptas needs epsilon")
-    return _ptas_chain(spec.epsilon, base, spec.max_depth, spec.c)[0].rho
-
-
-def _residual_masked(solver: RatedSolver, inst, banned: int, covered: int,
-                     budget: int):
-    """Masked run of a kind without a masked form: run it on the residual
-    instance with the banned vertices deleted and lift the result back."""
-    gone = [inst.ref_of(v) for v in _mask_ids(banned)]
-    res = residual(inst, gone, budget)
-    sol = solver.run(res.instance)
-    vm = 0
-    for ref in res.lift(sol.vertices):
-        vm |= 1 << inst.vertex_id(ref)
-    cover = covered | _cover_of_mask(inst, vm)
-    return vm, inst.mask_weight(cover & ~covered), cover
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +433,7 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     size = len(order)
     bits = [1 << v for v in order]
     incs = [inc[v] for v in order]
-    reach = inst.mask_weight(not_cov & _cover_of_mask(inst, sum(bits)))
+    reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
 
     # each edge's endpoints and its weight in gain units
     ends = [(l, n_left + r, 1 if unit is not None else w)
@@ -547,6 +520,8 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
 
 
 def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int = 3):
+    if epsilon is None:
+        raise MkvcError("ptas needs epsilon")
     eps = Fraction(epsilon)
     # an exact base already meets any target, so depth 0 is the one case
     # where epsilon has no admissible range at all
@@ -576,7 +551,11 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     depth falls short of the target the achieved guarantee is reported in
     the solution metadata and a warning is emitted.
     """
-    solver, schedule, depth = _ptas_chain(epsilon, base, max_depth, c)
+    return _run_chain(inst, epsilon, _ptas_chain(epsilon, base, max_depth, c))
+
+
+def _run_chain(inst, epsilon, chain) -> CoverSolution:
+    solver, schedule, depth = chain
     target = 1 - Fraction(epsilon)
     meta = {
         "executed_depth": depth,
@@ -588,7 +567,7 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     if solver.rho < target:
         warnings.warn(
             f"depth clamped to {depth}: guarantee {solver.rho} "
-            f"falls short of target {target}", stacklevel=2)
+            f"falls short of target {target}", stacklevel=3)
     sol = solver.run(inst)
     return CoverSolution(vertices=sol.vertices,
                          covered_weight=sol.covered_weight, meta=meta)
@@ -634,14 +613,10 @@ def guess_split_runner(inst: BipartiteInstance, inner) -> CoverSolution:
     best_key = None
     for k1 in range(inst.k + 1):
         sol = inner(k1, inst.k - k1)
-        key = (-_as_key(sol.covered_weight), sol.sorted_vertices())
+        key = (-Fraction(sol.covered_weight), sol.sorted_vertices())
         if best is None or key < best_key:
             best, best_key = sol, key
     return best
-
-
-def _as_key(value):
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +627,13 @@ class _Kind(NamedTuple):
     """How one solver kind is labelled, rated and run.  The run and masked
     entries look the module's functions up when they are called, so a
     function rebound on the module (the benchmark's tracer does this) is
-    the one that runs."""
+    the one that runs.  A kind without a masked run cannot be a base."""
 
     label: Callable         # (spec) -> str
-    rho: Callable           # (spec, base RatedSolver or None) -> Fraction
+    rho: Callable | None    # (spec, base RatedSolver or None) -> Fraction
     needs_base: bool
     run: Callable           # (solver, inst) -> CoverSolution
-    masked: Callable        # (solver, inst, banned, covered, budget) -> triple
+    masked: Callable | None  # (solver, inst, banned, covered, budget)
 
 
 def _side_tag(side: Side) -> str:
@@ -703,12 +678,10 @@ _KINDS = {
     SolverKind.PTAS: _Kind(
         label=lambda spec: (f"ptas[eps={spec.epsilon},d<={spec.max_depth}]"
                             f"({spec.base.label()})"),
-        rho=_ptas_rho,
+        rho=None,                   # the chain's, set by _rated
         needs_base=True,
-        run=lambda s, inst: solve_ptas(inst, s.spec.epsilon, s.base,
-                                       s.spec.max_depth, c=s.spec.c),
-        masked=lambda s, inst, banned, covered, budget: _ptas_chain(
-            s.spec.epsilon, s.base, s.spec.max_depth, s.spec.c)[0].run_masked(
+        run=lambda s, inst: _run_chain(inst, s.spec.epsilon, s.chain),
+        masked=lambda s, inst, banned, covered, budget: s.chain[0].run_masked(
             inst, banned, covered, budget)),
     SolverKind.EXACT: _Kind(
         label=lambda spec: spec.kind.value,
@@ -722,6 +695,9 @@ _KINDS = {
         rho=lambda spec, base: Fraction(1),
         needs_base=False,
         run=lambda s, inst: solve_semiregular_exact(inst),
-        masked=lambda s, inst, banned, covered, budget: _residual_masked(
-            s, inst, banned, covered, budget)),
+        masked=None),
 }
+
+# the kinds that `--base` offers: no base of their own, and a masked run
+BASE_KINDS = tuple(kind for kind, row in _KINDS.items()
+                   if not row.needs_base and row.masked is not None)

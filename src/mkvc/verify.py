@@ -13,11 +13,11 @@ from itertools import combinations
 
 from .analysis import (
     improve_ratio, improvement_gap, inverse_improve, minimum_claim_holds,
-    ptas_schedule,
+    ptas_schedule, secondary_bounds,
 )
 from .corpus import (
-    ALG2_FLOOR, merge_aggregates, new_aggregate, rational_corpus,
-    sampled_sweep_tasks, sweep_chunk,
+    ALG2_FLOOR, SWEEP_CHECKS, merge_aggregates, new_aggregate,
+    rational_corpus, sampled_sweep_tasks, sweep_chunk,
 )
 from .generate import GenKind, GenSpec, generate
 from .graph import Side, covered_weight, residual
@@ -28,70 +28,88 @@ from .solvers import (
 )
 
 
-def _grid(lo: int, hi: int, den: int):
-    return [Fraction(i, den) for i in range(lo, hi + 1)]
+def status_line(ok: bool, name: str, detail: str = "") -> tuple:
+    return ("ok" if ok else "FAIL", name, detail)
 
 
-def check_ratio_formulas() -> list:
-    lines = []
-    bad_improve = [r for r in _grid(1, 99, 100) if improve_ratio(r) <= r]
-    lines.append(("ok" if not bad_improve else "FAIL",
-                  "amplification strictly improves on (0,1)",
-                  f"{99 - len(bad_improve)}/99 grid points"))
-    bad_gap = [r for r in _grid(1, 99, 100)
-               if improve_ratio(r) - r != improvement_gap(r)]
-    lines.append(("ok" if not bad_gap else "FAIL",
-                  "gap identity (1-r)^3/(1+(1-r)^2) exact",
-                  f"{99 - len(bad_gap)}/99 grid points"))
-    gaps = [improvement_gap(r) for r in _grid(1, 99, 100)]
-    mono = all(a > b for a, b in zip(gaps, gaps[1:]))
-    lines.append(("ok" if mono else "FAIL",
-                  "gap strictly decreasing in rho", "99-point grid"))
-    bad_claim_high = [r for r in _grid(75, 99, 100) if not minimum_claim_holds(r)]
-    lines.append(("ok" if not bad_claim_high else "FAIL",
-                  "amplified ratio minimal among case bounds on [3/4, 1)",
-                  f"{25 - len(bad_claim_high)}/25 grid points"))
-    low_holds = [r for r in _grid(1, 74, 100) if minimum_claim_holds(r)]
-    lines.append(("note", "minimality of the amplified-ratio bound is "
-                  "provably false below 3/4 (13/25 > 5/11 at rho=1/4); "
-                  f"claim holds at {len(low_holds)}/74 low grid points", ""))
-    return lines
+def _case_gaps_hold(r) -> bool:
+    # with u = 1 - rho, the case bounds exceed the amplified ratio by these
+    u, amp = 1 - r, improve_ratio(r)
+    b1, b2 = secondary_bounds(r)
+    return (b1 - amp == u * u * (1 - 2 * u) / ((2 + u) * (1 + u * u))
+            and b2 - amp == u * u * (1 - 4 * u) / ((4 + u) * (1 + u * u)))
 
 
-def check_schedule() -> list:
-    lines = []
+def check_ratio_formulas(grid) -> list:
+    """The amplification formula and its case bounds on an ascending grid
+    of rho in (0, 1), in exact arithmetic.  The case-bound differences
+    (`_case_gaps_hold`) have the signs of 1 - 2u and 1 - 4u, so the
+    amplified ratio is the least case bound exactly on [3/4, 1]; the
+    minimality line checks the differences, the claim on [3/4, 1), its
+    failure below, equality at 3/4 and the counterexample rho = 1/4."""
+    n = len(grid)
+    bad_improve = [r for r in grid if improve_ratio(r) <= r]
+    bad_gap = [r for r in grid if not improve_ratio(r) - r
+               == improvement_gap(r) == (1 - r) ** 3 / (1 + (1 - r) ** 2)]
+    gaps = [improvement_gap(r) for r in grid]
+    high = [r for r in grid if r >= Fraction(3, 4)]
+    low = [r for r in grid if r < Fraction(3, 4)]
+    bad_high = [r for r in high if not minimum_claim_holds(r)]
+    low_holds = [r for r in low if minimum_claim_holds(r)]
+    amp, (b1, b2) = improve_ratio(Fraction(1, 4)), secondary_bounds(
+        Fraction(1, 4))
+    minimal = (not bad_high and not low_holds and amp > b1 and amp > b2
+               and all(_case_gaps_hold(r) for r in grid)
+               and improve_ratio(Fraction(3, 4))
+               == secondary_bounds(Fraction(3, 4))[1])
+    return [
+        status_line(not bad_improve, "amplification strictly improves on "
+                    "(0,1)", f"{n - len(bad_improve)}/{n} grid points"),
+        status_line(not bad_gap, "gap identity (1-r)^3/(1+(1-r)^2) exact",
+                    f"{n - len(bad_gap)}/{n} grid points"),
+        status_line(all(a > b for a, b in zip(gaps, gaps[1:])),
+                    "gap strictly decreasing in rho", f"{n}-point grid"),
+        status_line(minimal, "amplified ratio minimal among case bounds on "
+                    "[3/4, 1)", f"{len(high) - len(bad_high)}/{len(high)} "
+                    "grid points"),
+        ("note", "minimality of the amplified-ratio bound is provably false "
+         f"below 3/4 ({amp} > {b1} at rho=1/4); claim holds at "
+         f"{len(low_holds)}/{len(low)} low grid points", ""),
+    ]
+
+
+def check_schedule(rhos, epsilons) -> list:
+    """The ptas schedule: the iteration bound at (greedy rho, eps = 1/10),
+    rho = 1/2 reaching 3/5 in one level, the convergence count within the
+    closed-form bound on every admissible (rho0, eps) of rhos x epsilons,
+    and the fixed-point inversion at every eps (each below 1/2)."""
     sched = ptas_schedule(GREEDY_RHO, Fraction(1, 10))
-    ok = 262 <= sched.iterations <= 264
-    lines.append(("ok" if ok else "FAIL",
-                  "iteration bound at (greedy rho, eps=1/10)",
-                  f"{sched.iterations} (expected 263 +- 1), "
-                  f"convergence in {sched.convergence_count} levels"))
     one = ptas_schedule(Fraction(1, 2), Fraction(2, 5))
-    lines.append(("ok" if one.convergence_count == 1 else "FAIL",
-                  "rho=1/2 reaches 3/5 in one level",
-                  f"{one.convergence_count} levels"))
     bad = []
-    for rnum in range(5, 95, 5):
-        for enum_ in range(5, 50, 5):
-            rho0, eps = Fraction(rnum, 100), Fraction(enum_, 100)
-            if not eps < 1 - rho0:
-                continue
-            s = ptas_schedule(rho0, eps)
-            if s.convergence_count > s.iterations:
-                bad.append((rho0, eps))
-    lines.append(("ok" if not bad else "FAIL",
-                  "convergence count within the closed-form bound",
-                  f"admissible grid, violations: {bad[:3]}"))
-    bad_inv = []
-    for enum_ in range(5, 50, 5):
-        eps = Fraction(enum_, 100)
-        err = abs(improve_ratio(inverse_improve(eps)) - (1 - eps))
-        if err > Fraction(1, 10 ** 12):
-            bad_inv.append(eps)
-    lines.append(("ok" if not bad_inv else "FAIL",
-                  "fixed-point inversion accurate to 1e-12",
-                  f"eps grid 0.05..0.45, violations: {bad_inv}"))
-    return lines
+    for rho0 in rhos:
+        for eps in epsilons:
+            if eps < 1 - rho0:
+                s = ptas_schedule(rho0, eps)
+                if s.convergence_count > s.iterations:
+                    bad.append((rho0, eps))
+    bad_inv = [eps for eps in epsilons
+               if abs(improve_ratio(inverse_improve(eps)) - (1 - eps))
+               > Fraction(1, 10 ** 12)]
+    return [
+        status_line(262 <= sched.iterations <= 264,
+                    "iteration bound at (greedy rho, eps=1/10)",
+                    f"{sched.iterations} (expected 263 +- 1), "
+                    f"convergence in {sched.convergence_count} levels"),
+        status_line(one.convergence_count == 1 and one.levels[0]
+                    >= Fraction(3, 5) - Fraction(1, 10 ** 38),
+                    "rho=1/2 reaches 3/5 in one level",
+                    f"{one.convergence_count} levels"),
+        status_line(not bad, "convergence count within the closed-form "
+                    "bound", f"admissible grid, violations: {bad[:3]}"),
+        status_line(not bad_inv, "fixed-point inversion accurate to 1e-12",
+                    f"eps grid {float(epsilons[0])}..{float(epsilons[-1])}, "
+                    f"violations: {bad_inv}"),
+    ]
 
 
 def _sample_instances(seed: int, count: int, max_n: int = 8):
@@ -147,93 +165,97 @@ def check_graph_core(seed: int) -> list:
         if lhs != rhs:
             resid = False
     return [
-        ("ok" if mono else "FAIL", "coverage monotone under inclusion", "30 instances"),
-        ("ok" if sub else "FAIL", "coverage gains submodular", "30 instances"),
-        ("ok" if topl else "FAIL", "single-side top-l equals brute force", "30 instances"),
-        ("ok" if resid else "FAIL", "residual coverage additivity", "30 instances"),
+        status_line(mono, "coverage monotone under inclusion", "30 instances"),
+        status_line(sub, "coverage gains submodular", "30 instances"),
+        status_line(topl, "single-side top-l equals brute force",
+                    "30 instances"),
+        status_line(resid, "residual coverage additivity", "30 instances"),
     ]
 
 
-def check_reduction(seed: int) -> list:
-    lines = []
+def check_reduction(corpus, seed: int) -> list:
+    """Weight scaling at ell = 3 on (id, instance) pairs: the scaled weights
+    lie in [0, n^3] with the maximum attained, the ceiling over-counts a
+    seeded random edge set F by at most |F|, and the oracle on the scaled
+    weights reaches ratio_transfer(1, n, 3) = 1 - 1/(4n) of the optimum."""
     ok_bounds = ok_ratio = ok_over = True
     rng = random.Random(seed ^ 0xCAFE)
-    for iid, inst in rational_corpus(count=40, seed=seed):
+    for iid, inst in corpus:
         scaled, receipt = scale_weights(inst, 3)
         n3 = inst.n ** 3
         ws = [w for _, _, w in scaled.edges]
         if max(ws) != n3 or any(w > n3 for w in ws):
             ok_bounds = False
-        w_max = receipt.w_max
-        factor = Fraction(n3) / Fraction(w_max)
+        factor = Fraction(n3) / Fraction(receipt.w_max)
         eids = rng.sample(range(inst.m), rng.randint(1, inst.m))
         diff = (sum(scaled.edges[e][2] for e in eids)
                 - factor * sum(Fraction(inst.edges[e][2]) for e in eids))
         if not 0 <= diff <= len(eids):
             ok_over = False
-        got = solve_exact(scaled)
-        orig_value = covered_weight(inst, got.vertices)
-        opt = solve_exact(inst).covered_weight
-        if orig_value < ratio_transfer(1, inst.n, 3) * opt:
+        transfer = ratio_transfer(1, inst.n, 3)
+        orig_value = covered_weight(inst, solve_exact(scaled).vertices)
+        if (transfer != 1 - Fraction(1, 4 * inst.n)
+                or orig_value < transfer * solve_exact(inst).covered_weight):
             ok_ratio = False
-    lines.append(("ok" if ok_bounds else "FAIL",
-                  "scaled weights within [0, n^3], max attained", "40 instances"))
-    lines.append(("ok" if ok_over else "FAIL",
-                  "ceiling over-count within |F| on random edge sets", "40 instances"))
-    lines.append(("ok" if ok_ratio else "FAIL",
-                  "oracle on scaled weights transfers ratio 1 - 1/(4n)",
-                  "40 instances"))
-    return lines
+    count = f"{len(corpus)} instances"
+    return [
+        status_line(ok_bounds, "scaled weights within [0, n^3], max "
+                    "attained", count),
+        status_line(ok_over, "ceiling over-count within |F| on random edge "
+                    "sets", count),
+        status_line(ok_ratio, "oracle on scaled weights transfers ratio "
+                    "1 - 1/(4n)", count),
+    ]
+
+
+def sweep_lines(agg: dict, keys=tuple(SWEEP_CHECKS)) -> list:
+    """One line per violation count of a sweep aggregate."""
+    detail = f"{agg['pairs']} (instance, k) pairs"
+    examples = "; e.g. " + "; ".join(agg["examples"][:2])
+    return [status_line(not agg[key], SWEEP_CHECKS[key],
+                        detail + (examples if agg[key] else ""))
+            for key in keys]
+
+
+def alg2_floor_line(agg: dict) -> tuple:
+    """The amplifier's least value/optimum ratio in a sweep aggregate
+    against its empirical floor."""
+    ratio = agg["alg2_min_ratio"]
+    return status_line(ratio is None or ratio >= ALG2_FLOOR,
+                       "amplifier empirical ratio floor 0.67597",
+                       f"min ratio {ratio}")
 
 
 def check_solvers(small_n: int, seed: int) -> list:
     agg = new_aggregate()
     for task in sampled_sweep_tasks(small_n, per_shape=24, seed=seed):
         merge_aggregates(agg, sweep_chunk(task))
-    lines = []
-    zero = ["feasibility", "self_consistency", "dominance",
-            "greedy_floor", "greedy_kn", "alg2_vs_greedy", "prop1"]
-    names = {
-        "feasibility": "every solver returns its full budget",
-        "self_consistency": "reported values match recomputation",
-        "dominance": "no solver exceeds the oracle",
-        "greedy_floor": "greedy value >= 63/100 of optimum",
-        "greedy_kn": "greedy value >= (k/n) of optimum",
-        "alg2_vs_greedy": "amplifier never below greedy",
-        "prop1": "remaining-optimum identity sweep",
-    }
-    for key in zero:
-        detail = f"{agg['pairs']} (instance, k) pairs"
-        if agg[key]:
-            detail += "; e.g. " + "; ".join(agg["examples"][:2])
-        lines.append(("ok" if agg[key] == 0 else "FAIL", names[key], detail))
-    floor_ok = agg["alg2_min_ratio"] is None or agg["alg2_min_ratio"] >= ALG2_FLOOR
-    lines.append(("ok" if floor_ok else "FAIL",
-                  "amplifier empirical ratio floor 0.67597",
-                  f"min ratio {agg['alg2_min_ratio']}"))
+    lines = sweep_lines(agg) + [alg2_floor_line(agg)]
     inst = _sample_instances(seed + 1, 1, max_n=7)[0]
     det = (solve_greedy(inst).vertices == solve_greedy(inst).vertices
            and solve_alg2(inst, 3, greedy_solver()).vertices
            == solve_alg2(inst, 3, greedy_solver()).vertices)
-    lines.append(("ok" if det else "FAIL", "repeated runs identical", ""))
-    return lines
+    return lines + [status_line(det, "repeated runs identical")]
+
+
+def format_line(line) -> str:
+    status, name, detail = line
+    return f"{status:4s} {name}" + (f" [{detail}]" if detail else "")
 
 
 def run_verification(small_n: int = 6, seed: int = 20260810, out=None) -> bool:
     """Run the whole suite; print one line per check; True iff no FAIL."""
-    lines = []
-    lines += check_ratio_formulas()
-    lines += check_schedule()
-    lines += check_graph_core(seed)
-    lines += check_reduction(seed)
-    lines += check_solvers(small_n, seed)
-    ok = True
-    for status, name, detail in lines:
-        if status == "FAIL":
-            ok = False
-        text = f"{status:4s} {name}" + (f" [{detail}]" if detail else "")
-        if out is not None:
-            out(text)
+    def hundredths(*span):
+        return [Fraction(i, 100) for i in range(*span)]
+
+    lines = (check_ratio_formulas(hundredths(1, 100))
+             + check_schedule(hundredths(5, 95, 5), hundredths(5, 50, 5))
+             + check_graph_core(seed)
+             + check_reduction(rational_corpus(count=40, seed=seed), seed)
+             + check_solvers(small_n, seed))
+    ok = all(line[0] != "FAIL" for line in lines)
     if out is not None:
+        for line in lines:
+            out(format_line(line))
         out("verification " + ("PASSED" if ok else "FAILED"))
     return ok

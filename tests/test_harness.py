@@ -398,6 +398,112 @@ def test_cli_verify_passes(capsys):
     assert "verification PASSED" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--weight-min", "5", "--weight-max", "1"],
+    ["--kind", "adversarial", "--weight-max", "-5"],
+    ["--weight-min", "-1"],
+])
+def test_cli_gen_bad_weight_range_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "f.mkvc"
+    assert main(["gen", *argv, "-o", str(out)]) == 1
+    assert "weight_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["1/0", "abc", ""])
+def test_cli_solve_bad_epsilon_is_a_usage_error(tmp_path, capsys, eps):
+    path = _write_k22(tmp_path)
+    assert main(["solve", str(path), "--algorithm", "ptas",
+                 "--epsilon", eps]) == 64
+    assert "--epsilon" in capsys.readouterr().err
+
+
+def test_cli_semiregular_base_is_a_usage_error(tmp_path, capsys):
+    path = _write_k22(tmp_path)
+    assert main(["solve", str(path), "--algorithm", "alg2",
+                 "--base", "semiregular"]) == 64
+    assert "invalid choice: 'semiregular'" in capsys.readouterr().err
+
+
+# -- CLI exit codes under arbitrary arguments --------------------------------
+
+_JUNK = st.one_of(
+    st.sampled_from(["", "-", "--", "--nope", "-x", "-1", "1/0", "nan",
+                     "--k=", "--help"]),
+    st.text("abxyz019./=", max_size=4))
+
+
+def _opt(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _cli_flags(paths):
+    """Per subcommand, its required tokens and strategies for its options
+    (sizes <= 6, --small-n <= 4, --scale-ell <= 4, --jobs <= 1, so no
+    process is started)."""
+    ints = st.integers
+    kinds = [k.value for k in SolverKind]
+    return {
+        "gen": ([st.just("-o"), st.sampled_from(paths["out"])], [
+            _opt("--kind", st.sampled_from([k.value for k in GenKind])),
+            _opt("--n-left", ints(-1, 6)), _opt("--n-right", ints(-1, 6)),
+            _opt("--edge-prob", st.sampled_from([-0.5, 0, 0.3, 1, 1.5])),
+            _opt("--d-left", ints(-1, 6)), _opt("--d-right", ints(-1, 6)),
+            _opt("--weight-min", ints(-2, 9)),
+            _opt("--weight-max", ints(-2, 9)),
+            _opt("--k", ints(-1, 12)), _opt("--seed", ints(0, 9))]),
+        "solve": ([st.sampled_from(paths["in"]), st.just("--algorithm"),
+                   st.sampled_from(kinds)], [
+            _opt("--base", st.sampled_from(kinds)),
+            _opt("--c", ints(-1, 4)), _opt("--x-size", ints(-1, 4)),
+            _opt("--side", st.sampled_from(["left", "R", "up"])),
+            _opt("--epsilon", st.sampled_from(["1/10", "1/2", "0", "-1",
+                                               "3/2", "1/0", "0.3"])),
+            _opt("--max-depth", ints(-1, 2)), _opt("--scale-ell", ints(-1, 4)),
+            _opt("--oracle-budget", ints(-1, 500))]),
+        "bench": ([st.sampled_from(paths["dir"])], [
+            st.just(["--oracle"]), _opt("--oracle-budget", ints(-1, 500)),
+            _opt("--solvers", st.lists(st.sampled_from(kinds + ["foo", ""]),
+                                       max_size=3).map(",".join)),
+            _opt("--jobs", ints(-1, 1)),
+            _opt("--output", st.sampled_from(paths["out"]))]),
+        "verify": ([], [_opt("--small-n", ints(-1, 4)),
+                        _opt("--seed", ints(-3, 9))]),
+    }
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Instance files, a garbage file, a directory and missing paths."""
+    (tmp_path / "d").mkdir()
+    _write_k22(tmp_path / "d")
+    write_instance(generate(GenSpec(kind=GenKind.UNIFORM_RANDOM, n_left=6,
+                                    n_right=5, seed=1, k=3)),
+                   tmp_path / "g.mkvc")
+    (tmp_path / "junk.mkvc").write_bytes(b"p mkvc 2\n\xff e 0 0")
+    names = {"in": ["d/k22.mkvc", "g.mkvc", "junk.mkvc", "missing.mkvc", "d"],
+             "out": ["out.mkvc", "d", "nodir/x.mkvc"],
+             "dir": [".", "d", "missing", "g.mkvc"]}
+    return {key: [str(tmp_path / name) for name in value]
+            for key, value in names.items()}
+
+
+@pytest.mark.filterwarnings("ignore:depth clamped")
+@given(st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_exit_codes_under_fuzzed_arguments(cli_files, capsys, data):
+    command = data.draw(st.sampled_from(["gen", "solve", "bench", "verify"]))
+    required, options = _cli_flags(cli_files)[command]
+    argv = [command] + [data.draw(token) for token in required]
+    for tokens in data.draw(st.lists(st.one_of(options), max_size=4)):
+        argv += tokens
+    for junk in data.draw(st.lists(_JUNK, max_size=2)):
+        argv.insert(data.draw(st.integers(0, len(argv))), junk)
+    assert main(argv) in (0, 1, 2, 64)
+    capsys.readouterr()
+
+
 # -- determinism ---------------------------------------------------------------------
 
 def test_verification_output_is_byte_stable():

@@ -13,8 +13,8 @@ from mkvc import (
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
-    GREEDY_RHO, _alg2_masked, _greedy_masked, _lex_less, _mask_ids,
-    _mask_solution, _pad_mask, _top_side_masked,
+    GREEDY_RHO, _alg2_masked, _greedy_masked, _lex_less, _mask_solution,
+    _pad_mask, _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -623,15 +623,48 @@ def test_lex_order_of_equal_size_masks_is_lowest_differing_id(size, data):
                    unique=True)
     a = sum(1 << v for v in data.draw(ids))
     b = sum(1 << v for v in data.draw(ids))
-    want = sorted(_mask_ids(a)) < sorted(_mask_ids(b))
-    assert _lex_less(a, b) == want
+    def ids(mask):
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+    assert _lex_less(a, b) == (ids(a) < ids(b))
 
 
-def test_generic_masked_fallback_via_residual():
-    inst = BipartiteInstance(3, 3, [(i, j, 1) for i in range(3) for j in range(3)], 2)
-    solver = build_solver(SolverSpec(SolverKind.SEMI_REGULAR))
-    vm, value, _ = solver.run_masked(inst, 0, 0, 2)
-    assert value == 6
+def test_semiregular_is_rejected_as_a_base():
+    # deleting a vertex breaks regularity, so the closed form has no
+    # masked run to build on
+    for kind in (SolverKind.ALG1, SolverKind.ALG2, SolverKind.PTAS):
+        spec = SolverSpec(kind, base=SolverSpec(SolverKind.SEMI_REGULAR),
+                          epsilon=Fraction(1, 10))
+        with pytest.raises(MkvcError, match="cannot be a base"):
+            build_solver(spec)
+    semi = build_solver(SolverSpec(SolverKind.SEMI_REGULAR))
+    inst = BipartiteInstance(3, 3, [(i, j, 1) for i in range(3)
+                                    for j in range(3)], 2)
+    assert semi.run(inst).covered_weight == 6
+    for run in (lambda: solve_alg1(inst, 1, semi),
+                lambda: solve_alg2(inst, 3, semi)):
+        with pytest.raises(MkvcError, match="cannot be a base"):
+            run()
+
+
+def test_rated_ptas_builds_its_schedule_once(monkeypatch):
+    import mkvc.solvers
+    calls = []
+    schedule = mkvc.solvers.ptas_schedule
+    monkeypatch.setattr(mkvc.solvers, "ptas_schedule",
+                        lambda *a: calls.append(a) or schedule(*a))
+    solver = build_solver(SolverSpec(SolverKind.PTAS, epsilon=Fraction(1, 5),
+                                     base=SolverSpec(SolverKind.GREEDY)))
+    inst = BipartiteInstance(3, 3, [(i, j, 1 + i + j) for i in range(3)
+                                    for j in range(3)], 2)
+    with pytest.warns(UserWarning, match="depth clamped"):
+        sol = solver.run(inst)
+    assert solver.run_masked(inst, 0, 0, 2)[0] == solver.chain[0].run_masked(
+        inst, 0, 0, 2)[0]
+    assert len(calls) == 1
+    with pytest.warns(UserWarning, match="depth clamped"):
+        want = solve_ptas(inst, Fraction(1, 5), greedy_solver(), 2)
+    assert sol == want and sol.meta == want.meta
 
 
 # -- rated solver plumbing ----------------------------------------------------------
