@@ -176,6 +176,8 @@ class SubsetStats:
 
 
 def _verify_optimal(inst: BipartiteInstance, O, opt=None):
+    """`(refs, opt)` for an optimal set O of at most k and at most 20
+    members; opt is the oracle's value unless passed in."""
     from .solvers import solve_exact
 
     refs = frozenset(O)
@@ -186,6 +188,8 @@ def _verify_optimal(inst: BipartiteInstance, O, opt=None):
         opt = solve_exact(inst).covered_weight
     if value != opt:
         raise MkvcError("set is not optimal for this instance")
+    if len(refs) > 20:
+        raise MkvcError("optimal set too large for subset enumeration")
     return refs, opt
 
 
@@ -198,8 +202,6 @@ def subset_stats(inst: BipartiteInstance, O, x_size: int,
     passed in.  Enumeration is capped at |O| <= 20.
     """
     refs, opt = _verify_optimal(inst, O, opt)
-    if len(refs) > 20:
-        raise MkvcError("optimal set too large for subset enumeration")
     if not 0 <= x_size <= len(refs):
         raise MkvcError("x_size out of range")
     if opt == 0:
@@ -244,8 +246,9 @@ def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
     cov[x] = cov[x ^ low] | cover(member low) and valued once; the worst
     value of each size is read off that table, and the complement O \\ X
     is the entry at full ^ x.  O is re-verified against the exhaustive
-    oracle unless its value is passed in.  Used by the verification
-    harness."""
+    oracle unless its value is passed in.  Enumeration is capped at
+    |O| <= 20, checked before the tables are built.  Used by the
+    verification harness."""
     refs, opt = _verify_optimal(inst, O, opt)
     masks = [inst.cover_mask_of([r]) for r in sorted(refs)]
     full = (1 << len(masks)) - 1

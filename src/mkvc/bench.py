@@ -28,15 +28,7 @@ class RunRecord:
     error: str | None = None
 
 
-def _run_one(instance_id, inst, solver: RatedSolver, oracle: bool,
-             oracle_budget: int) -> RunRecord:
-    opt = None
-    err = None
-    if oracle:
-        try:
-            opt = solve_exact(inst, oracle_budget).covered_weight
-        except MkvcError as exc:
-            err = f"oracle: {exc}"
+def _run_one(instance_id, inst, solver: RatedSolver, opt, err) -> RunRecord:
     t0 = time.perf_counter()
     try:
         sol = solver.run(inst)
@@ -53,8 +45,14 @@ def _run_one(instance_id, inst, solver: RatedSolver, oracle: bool,
 
 def _run_task(task):
     instance_id, inst, solvers, oracle, oracle_budget = task
-    return [_run_one(instance_id, inst, s, oracle, oracle_budget)
-            for s in solvers]
+    # one oracle run per instance; its optimum or error goes on every row
+    opt = err = None
+    if oracle:
+        try:
+            opt = solve_exact(inst, oracle_budget).covered_weight
+        except MkvcError as exc:
+            err = f"oracle: {exc}"
+    return [_run_one(instance_id, inst, s, opt, err) for s in solvers]
 
 
 def run_matrix(instances, solvers, oracle: bool = False,

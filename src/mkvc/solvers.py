@@ -22,10 +22,12 @@ regularity), so it cannot be a base solver.
 
 Greedy is split into its fill (`_gains`: every vertex's uncovered incident
 weight) and its pick loop (`_greedy_picks`), and the single-side ranking
-(`_top_block`) reads the same gains list.  alg2 fills the gains once per
-call: they bound its small vertex sets, and over a greedy base they seed
-the greedy runs, whose traced direct run also yields every reduced-budget
-run and the gains that rank its completions.
+(`_top_block`) reads the same gains list.  Gains are weights everywhere;
+the fill's popcount for uniform weights is the only branch on the weight
+kind.  alg2 fills the gains once per call: they bound its small vertex
+sets, and over a greedy base they seed the greedy runs, whose traced
+direct run also yields every reduced-budget run and the gains that rank
+its completions.
 """
 
 from __future__ import annotations
@@ -106,16 +108,14 @@ def _lex_less(a: int, b: int) -> bool:
     return a & d & -d != 0
 
 
-def _gains(inst, banned: int, covered: int):
-    """Greedy's fill: `(gains, unit)`, where gains[v] is v's uncovered
-    incident weight and -1 for a banned v.  Equal non-zero weights count
-    edges instead, a positive rescaling, and `unit` is that weight (None
-    otherwise); weight 0 must take the weighted branch so equal (zero)
-    gains keep the lex-first tie rule."""
+def _gains(inst, banned: int, covered: int) -> list:
+    """Greedy's fill: gains[v] is v's uncovered incident weight, and -1
+    for a banned v.  Uniform weights take one popcount per vertex, times
+    the weight; that is the only branch on the weight kind."""
     rem = ~covered
-    unit = inst._uniform or None
-    if unit is not None:
-        gains = [(m & rem).bit_count() for m in inst._inc]
+    u = inst._uniform
+    if u is not None:
+        gains = [u * (m & rem).bit_count() for m in inst._inc]
     else:
         gains = [0] * inst.n
         n_left = inst.n_left
@@ -130,10 +130,10 @@ def _gains(inst, banned: int, covered: int):
         low = banned & -banned
         gains[low.bit_length() - 1] = -1
         banned ^= low
-    return gains, unit
+    return gains
 
 
-def _greedy_picks(inst, gains: list, unit, covered: int, budget: int,
+def _greedy_picks(inst, gains: list, covered: int, budget: int,
                   trace: list | None = None):
     """Greedy's pick loop from a `_gains` state, which it consumes.  With a
     `trace` list, the state after every pick but the last is appended to
@@ -162,20 +162,17 @@ def _greedy_picks(inst, gains: list, unit, covered: int, budget: int,
         while new:
             low = new & -new
             l, r, w = edges[low.bit_length() - 1]
-            gains[l + r + shift] -= 1 if unit is not None else w
+            gains[l + r + shift] -= w
             new ^= low
         if trace is not None:
-            trace.append((chosen, total * (unit or 1), ~rem, gains[:]))
-    if unit is not None:
-        total *= unit
+            trace.append((chosen, total, ~rem, gains[:]))
     return chosen, total, ~rem
 
 
 def _greedy_masked(inst, banned: int, covered: int, budget: int):
     if budget > inst.n - banned.bit_count():
         raise MkvcError("greedy budget exceeds available vertices")
-    gains, unit = _gains(inst, banned, covered)
-    return _greedy_picks(inst, gains, unit, covered, budget)
+    return _greedy_picks(inst, _gains(inst, banned, covered), covered, budget)
 
 
 def _exact_masked(inst, banned: int, covered: int, budget: int,
@@ -224,7 +221,7 @@ def _top_side_masked(inst, side: Side, l: int, banned: int, covered: int):
     inc = inst._inc
     vm = 0
     em = 0
-    for v in _top_block(inst, side, l, _gains(inst, banned, covered)[0]):
+    for v in _top_block(inst, side, l, _gains(inst, banned, covered)):
         vm |= 1 << v
         em |= inc[v]
     return vm, inst.mask_weight(em & ~covered), covered | em
@@ -370,10 +367,10 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     if budget > len(allowed):
         raise MkvcError("budget exceeds available vertices")
     inc = inst._inc
+    edges = inst.edges
     n_left = inst.n_left
     not_cov = ~covered
-    gains, unit = _gains(inst, banned, covered)
-    scale = unit or 1
+    gains = _gains(inst, banned, covered)
     seeded = base.spec.kind is SolverKind.GREEDY
     # the running best: the maximum newly covered weight, ties to the
     # lexicographically smallest vertex set, so arrival order is immaterial
@@ -393,15 +390,14 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     # which is traced only when such a step exists
     if seeded and budget > c:
         trace = []
-        bm, bw, cov_b = _greedy_picks(inst, gains[:], unit, covered, budget,
-                                      trace)
+        bm, bw, cov_b = _greedy_picks(inst, gains[:], covered, budget, trace)
         runs = trace[:budget - c]
     else:
         bm, bw, cov_b = base.run_masked(inst, banned, covered, budget)
         runs = []
         for b in range(1, budget - c + 1):
             rm, rw, cov_r = base.run_masked(inst, banned, covered, b)
-            runs.append((rm, rw, cov_r, _gains(inst, banned | rm, cov_r)[0]))
+            runs.append((rm, rw, cov_r, _gains(inst, banned | rm, cov_r)))
     offer(bm, cov_b, bw)
 
     # each reduced run, completed with the top budget - b block of either
@@ -414,7 +410,7 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
             for v in block:
                 tm |= 1 << v
                 cover |= inc[v]
-            offer(bm | tm, cover, bw + sum(g[v] for v in block) * scale)
+            offer(bm | tm, cover, bw + sum(g[v] for v in block))
 
     # every small vertex set S, removed with its covered edges, base on the
     # rest.  No candidate built on S covers more than its bound: w(new
@@ -428,16 +424,12 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     # partial set; the bound falls along a level, so the first failure
     # ends the level.
     order = sorted(allowed, key=lambda v: (-gains[v], v))
-    top = [gains[v] * scale for v in order]
+    top = [gains[v] for v in order]
     prefix = [0, *accumulate(top)]
     size = len(order)
     bits = [1 << v for v in order]
     incs = [inc[v] for v in order]
     reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
-
-    # each edge's endpoints and its weight in gain units
-    ends = [(l, n_left + r, 1 if unit is not None else w)
-            for l, r, w in inst.edges]
 
     def loses_tie(sm):
         first, _ = _pad_mask(inst, sm, banned, budget, 0)
@@ -454,19 +446,18 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
         new = cov_s & not_cov
         while new:
             low = new & -new
-            l, r, w = ends[low.bit_length() - 1]
+            l, r, w = edges[low.bit_length() - 1]
             g[l] -= w
-            g[r] -= w
+            g[n_left + r] -= w
             ws += w
             new ^= low
-        ws *= scale
         for p in pos:
             g[order[p]] = -1
-        bound = ws + sum(sorted(g, reverse=True)[:rest]) * scale
+        bound = ws + sum(sorted(g, reverse=True)[:rest])
         if bound < best_w or bound == best_w and loses_tie(sm):
             return
         if seeded:
-            rm, rw, cov_r = _greedy_picks(inst, g, unit, cm, rest)
+            rm, rw, cov_r = _greedy_picks(inst, g, cm, rest)
         else:
             rm, rw, cov_r = base.run_masked(inst, banned | sm, cm, rest)
         offer(sm | rm, cov_r, ws + rw)

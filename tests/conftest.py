@@ -7,7 +7,3 @@ from mkvc import BipartiteInstance
 def k22():
     """Complete bipartite 2x2, unit weights, k=2."""
     return BipartiteInstance(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 2)
-
-
-def make_instance(n_left, n_right, edges, k):
-    return BipartiteInstance(n_left, n_right, edges, k)

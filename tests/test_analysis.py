@@ -193,6 +193,13 @@ def test_prop1_skewed_private_weights():
     assert prop1_sweep(inst, o)
 
 
+def test_prop1_sweep_rejects_more_than_20_members():
+    # a 21-edge perfect matching: the left side is optimal at k = 21
+    inst = BipartiteInstance(21, 21, [(i, i, 1) for i in range(21)], 21)
+    with pytest.raises(MkvcError, match="too large for subset enumeration"):
+        prop1_sweep(inst, [L(i) for i in range(21)], 21)
+
+
 def test_prop1_sweep_small_instances():
     from mkvc.corpus import unweighted_instance
     for gmask in range(1, 2 ** 6, 3):

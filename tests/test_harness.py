@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mkvc.bench
 from mkvc import (
     BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
     VertexRef, build_solver, covered_weight, improve_ratio, read_instance,
@@ -213,6 +214,27 @@ def test_run_matrix_records_oracle_infeasible():
     assert len(records) == 1
     assert records[0].error and "oracle" in records[0].error
     assert records[0].value is not None
+
+
+def test_run_matrix_runs_the_oracle_once_per_instance(monkeypatch, k22):
+    calls = []
+
+    def counted(inst, budget):
+        calls.append(inst)
+        return solve_exact(inst, budget)
+
+    monkeypatch.setattr(mkvc.bench, "solve_exact", counted)
+    big = BipartiteInstance(20, 20, [(i, i, 1) for i in range(20)], 20)
+    records = run_matrix([("k22", k22), ("big", big)],
+                         _solvers("greedy", "topside"), oracle=True,
+                         oracle_budget=100)
+    assert len(calls) == 2
+    by_inst = {}
+    for rec in records:
+        by_inst.setdefault(rec.instance_id, []).append(rec)
+    assert all(rec.opt == 4 and rec.error is None for rec in by_inst["k22"])
+    assert [rec.error for rec in by_inst["big"]] == [
+        "oracle: instance too large for oracle"] * 2
 
 
 def test_run_matrix_amplifier_never_below_greedy():

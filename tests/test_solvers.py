@@ -13,8 +13,8 @@ from mkvc import (
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
-    GREEDY_RHO, _alg2_masked, _greedy_masked, _lex_less, _mask_solution,
-    _pad_mask, _top_side_masked,
+    GREEDY_RHO, _alg2_masked, _gains, _greedy_masked, _lex_less,
+    _mask_solution, _pad_mask, _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -481,6 +481,19 @@ def masked_greedy_cases(draw):
     banned = draw(st.integers(0, (1 << inst.n) - 1))
     covered = draw(st.integers(0, inst._full_mask))
     return inst, banned, covered
+
+
+@given(masked_greedy_cases())
+@settings(max_examples=300, deadline=None)
+def test_gains_are_uncovered_incident_weights(case):
+    """The fill against a per-vertex sum of uncovered incident weights,
+    -1 for a banned vertex, over every weight kind."""
+    inst, banned, covered = case
+    want = [-1 if banned >> v & 1 else
+            sum(w for eid, (l, r, w) in enumerate(inst.edges)
+                if v in (l, inst.n_left + r) and not covered >> eid & 1)
+            for v in range(inst.n)]
+    assert _gains(inst, banned, covered) == want
 
 
 @given(masked_greedy_cases())
