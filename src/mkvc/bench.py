@@ -95,12 +95,7 @@ def write_csv(records, fh) -> None:
     for solver in sorted(per_solver):
         ratios = [r.ratio for r in per_solver[solver] if r.ratio is not None]
         total_ms = round(sum(r.wall_time for r in per_solver[solver]) * 1000)
-        if ratios:
-            writer.writerow(["summary/min", solver, "", "",
-                             _fmt(min(ratios)), str(total_ms)])
-            writer.writerow(["summary/mean", solver, "", "",
-                             _fmt(sum(ratios, Fraction(0)) / len(ratios)),
+        mean = sum(ratios, Fraction(0)) / len(ratios) if ratios else None
+        for tag, ratio in (("min", min(ratios, default=None)), ("mean", mean)):
+            writer.writerow([f"summary/{tag}", solver, "", "", _fmt(ratio),
                              str(total_ms)])
-        else:
-            writer.writerow(["summary/min", solver, "", "", "", str(total_ms)])
-            writer.writerow(["summary/mean", solver, "", "", "", str(total_ms)])

@@ -48,6 +48,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+def _solver_names(text: str) -> list:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    valid = [k.value for k in SolverKind]
+    for name in names:
+        if name not in valid:
+            raise argparse.ArgumentTypeError(
+                f"unknown solver {name!r} (choose from {', '.join(valid)})")
+    return names
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mkvc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,6 +75,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--k", type=int, default=None)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", "-o", required=True)
+    gen.set_defaults(run=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance")
@@ -79,19 +90,22 @@ def _build_parser() -> _Parser:
     solve.add_argument("--max-depth", type=int, default=2)
     solve.add_argument("--scale-ell", type=int, default=None)
     solve.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)
+    solve.set_defaults(run=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run solvers over a directory")
     bench.add_argument("directory")
     bench.add_argument("--oracle", action="store_true")
     bench.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)
-    bench.add_argument("--solvers", default="greedy,alg2",
+    bench.add_argument("--solvers", type=_solver_names, default="greedy,alg2",
                        help="comma-separated solver names")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--output", "-o", default=None)
+    bench.set_defaults(run=_cmd_bench)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
     verify.add_argument("--small-n", type=int, default=6)
     verify.add_argument("--seed", type=int, default=20260810)
+    verify.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -146,20 +160,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    names = [name.strip() for name in args.solvers.split(",") if name.strip()]
-    valid = [k.value for k in SolverKind]
-    for name in names:
-        if name not in valid:
-            print(f"error: unknown solver {name!r} (choose from "
-                  f"{', '.join(valid)})", file=sys.stderr)
-            return USAGE_EXIT
     directory = Path(args.directory)
     files = sorted(directory.glob("*.mkvc")) + sorted(directory.glob("*.txt"))
     if not files:
         print(f"error: no instance files in {directory}", file=sys.stderr)
         return 1
     instances = [(f.stem, read_instance(f)) for f in files]
-    solvers = [build_solver(_solver_spec(name)) for name in names]
+    solvers = [build_solver(_solver_spec(name)) for name in args.solvers]
     records = run_matrix(instances, solvers, oracle=args.oracle,
                          oracle_budget=args.oracle_budget, jobs=args.jobs)
     if args.output:
@@ -186,21 +193,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except MkvcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -419,75 +419,73 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     # that some allowed vertex touches.  S is skipped when its bound is
     # strictly below the incumbent, or when the best it can do is tie and
     # even the lexicographically first set holding S loses that tie, so
-    # a tie that could win on the lex rule still runs.  Enumerating by
-    # entry gain (descending), the prefix sums of that order bound every
-    # partial set; the bound falls along a level, so the first failure
-    # ends the level.
+    # a tie that could win on the lex rule still runs.  One depth-first
+    # search by entry gain (descending) judges each set once, and a
+    # rejected S prunes its extensions: the prefix sums of that order and
+    # (by submodularity) the tight bound cap every candidate built on
+    # them, each budget-set holding one holds S, and the incumbent only
+    # rises.  The prefix bound falls along the order, so its first failure
+    # also skips every later sibling.
     order = sorted(allowed, key=lambda v: (-gains[v], v))
     top = [gains[v] for v in order]
     prefix = [0, *accumulate(top)]
-    size = len(order)
     bits = [1 << v for v in order]
     incs = [inc[v] for v in order]
     reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
+    depth = min(c, budget)
 
     def loses_tie(sm):
         first, _ = _pad_mask(inst, sm, banned, budget, 0)
         return not _lex_less(first, best_vm)
 
-    def settle(sm, cov_s, pos):
-        cm = covered | cov_s
-        rest = budget - len(pos)
-        if rest == 0:
-            offer(sm, cm, inst.mask_weight(cov_s & not_cov))
-            return
-        g = gains[:]
-        ws = 0
-        new = cov_s & not_cov
-        while new:
-            low = new & -new
-            l, r, w = edges[low.bit_length() - 1]
-            g[l] -= w
-            g[n_left + r] -= w
-            ws += w
-            new ^= low
-        for p in pos:
-            g[order[p]] = -1
-        bound = ws + sum(sorted(g, reverse=True)[:rest])
-        if bound < best_w or bound == best_w and loses_tie(sm):
-            return
-        if seeded:
-            rm, rw, cov_r = _greedy_picks(inst, g, cm, rest)
-        else:
-            rm, rw, cov_r = base.run_masked(inst, banned | sm, cm, rest)
-        offer(sm | rm, cov_r, ws + rw)
-
-    def grow(pos, sm, cov_s, l):
-        # the best completion of pos + [i] takes its other budget - j
+    def grow(pos, sm, cov_s):
+        # the best completion of U = pos + [i] takes its other `rest`
         # members from the top of the order; those of pos inside that
         # window are already counted by the prefix sum
         j = len(pos) + 1
-        r = budget - j
+        rest = budget - j
         s = 0
-        while s < j - 1 and pos[s] < r + s:
+        while s < j - 1 and pos[s] < rest + s:
             s += 1
-        a = prefix[r + s]
+        a = prefix[rest + s]
         for p in pos[s:]:
             a += top[p]
-        for i in range(pos[-1] + 1 if pos else 0, size - l + j):
+        for i in range(pos[-1] + 1 if pos else 0, len(order)):
             bound = a + top[i]
             if bound < best_w:
                 break
-            if ((bound == best_w or best_w == reach)
-                    and loses_tie(sm | bits[i])):
+            um, cov_u = sm | bits[i], cov_s | incs[i]
+            if (bound == best_w or best_w == reach) and loses_tie(um):
                 continue
-            if j < l:
-                grow(pos + [i], sm | bits[i], cov_s | incs[i], l)
+            cm = covered | cov_u
+            if rest == 0:
+                offer(um, cm, inst.mask_weight(cov_u & not_cov))
+                continue
+            g = gains[:]
+            ws = 0
+            new = cov_u & not_cov
+            while new:
+                low = new & -new
+                l, r, w = edges[low.bit_length() - 1]
+                g[l] -= w
+                g[n_left + r] -= w
+                ws += w
+                new ^= low
+            for p in (*pos, i):
+                g[order[p]] = -1
+            bound = ws + sum(sorted(g, reverse=True)[:rest])
+            if bound < best_w or bound == best_w and loses_tie(um):
+                continue
+            if seeded:
+                rm, rw, cov_r = _greedy_picks(inst, g, cm, rest)
             else:
-                settle(sm | bits[i], cov_s | incs[i], pos + [i])
+                rm, rw, cov_r = base.run_masked(inst, banned | um, cm, rest)
+            offer(um | rm, cov_r, ws + rw)
+            if j < depth:
+                grow(pos + [i], um, cov_u)
 
-    for l in range(1, min(c, budget) + 1):
-        grow([], 0, 0, l)
+    if budget:
+        grow([], 0, 0)
 
     return best_vm, inst.mask_weight(best_cover & not_cov), best_cover
 
@@ -504,8 +502,9 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     bound (the weight C newly covers plus the top k-|C| residual vertex
     gains) is strictly below the best candidate so far, or when C can at
     best tie it and even the lexicographically first k-set holding C sorts
-    after it; the result is that of the whole pool.  Carries guarantee
-    improve_ratio(base.rho).
+    after it; either test then holds for every extension of C too, so
+    those are skipped with it.  The result is that of the whole pool.
+    Carries guarantee improve_ratio(base.rho).
     """
     return _mask_solution(inst, _alg2_masked(inst, c, base, 0, 0, inst.k)[0])
 
@@ -542,10 +541,12 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     depth falls short of the target the achieved guarantee is reported in
     the solution metadata and a warning is emitted.
     """
-    return _run_chain(inst, epsilon, _ptas_chain(epsilon, base, max_depth, c))
+    return _run_chain(inst, epsilon, _ptas_chain(epsilon, base, max_depth, c),
+                      stacklevel=3)
 
 
-def _run_chain(inst, epsilon, chain) -> CoverSolution:
+def _run_chain(inst, epsilon, chain, stacklevel: int) -> CoverSolution:
+    # `stacklevel` names the caller of the public entry point in a warning
     solver, schedule, depth = chain
     target = 1 - Fraction(epsilon)
     meta = {
@@ -558,7 +559,7 @@ def _run_chain(inst, epsilon, chain) -> CoverSolution:
     if solver.rho < target:
         warnings.warn(
             f"depth clamped to {depth}: guarantee {solver.rho} "
-            f"falls short of target {target}", stacklevel=3)
+            f"falls short of target {target}", stacklevel=stacklevel)
     sol = solver.run(inst)
     return CoverSolution(vertices=sol.vertices,
                          covered_weight=sol.covered_weight, meta=meta)
@@ -671,7 +672,8 @@ _KINDS = {
                             f"({spec.base.label()})"),
         rho=None,                   # the chain's, set by _rated
         needs_base=True,
-        run=lambda s, inst: _run_chain(inst, s.spec.epsilon, s.chain),
+        # warned from here, RatedSolver.run, then its caller
+        run=lambda s, inst: _run_chain(inst, s.spec.epsilon, s.chain, 4),
         masked=lambda s, inst, banned, covered, budget: s.chain[0].run_masked(
             inst, banned, covered, budget)),
     SolverKind.EXACT: _Kind(

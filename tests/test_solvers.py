@@ -195,12 +195,17 @@ def test_alg2_rejects_small_c(k22):
 
 
 def test_alg2_with_c_at_least_k_subsumes_oracle():
+    # with c >= k every k-set is a candidate of its own, so over any base
+    # the winner is the lexicographically first optimum: the oracle's set
     rng = random.Random(8)
     for _ in range(15):
         inst = random_instance(rng, max_side=4)
         c = max(3, inst.k)
-        assert (solve_alg2(inst, c, greedy_solver()).covered_weight
-                == solve_exact(inst).covered_weight)
+        want = solve_exact(inst)
+        for spec in ALG2_BASES.values():
+            got = solve_alg2(inst, c, build_solver(spec))
+            assert got.vertices == want.vertices
+            assert got.covered_weight == want.covered_weight
 
 
 def test_alg2_returns_exactly_k_vertices():
@@ -235,6 +240,16 @@ def test_ptas_warns_when_depth_clamped(k22):
     assert sol.meta["achieved_ratio_bound"] < sol.meta["target_ratio"]
     assert sol.meta["executed_depth"] == 1
     assert sol.meta["scheduled_depth"] > 1
+
+
+def test_ptas_depth_clamp_warning_names_the_caller(k22):
+    spec = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+                      epsilon=Fraction(1, 100), max_depth=1)
+    for run in (lambda: solve_ptas(k22, Fraction(1, 100), greedy_solver(), 1),
+                lambda: build_solver(spec).run(k22)):
+        with pytest.warns(UserWarning, match="depth clamped") as record:
+            run()
+        assert record[0].filename == __file__
 
 
 def test_ptas_metadata_reports_schedule():
