@@ -233,21 +233,22 @@ def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
     Verified facts, all in exact arithmetic, for each X:
       - coverage(O \\ X) >= opt - coverage(X)  (the inequality form);
       - partition: weight privately covered by X plus total coverage of
-        O \\ X equals opt;
-      - when X is a worst-|X| subset, coverage(O \\ X) is at least
-        (1 - C_w(|X|)) * opt.
+        O \\ X equals opt.
 
-    The literal equality reading fails for arbitrary X (a best subset can
-    privately hold more than the worst subset's share), so the inequality
-    plus the partition identity is what is asserted.
+    The worst-subset fact (for a worst-|X| subset X, coverage(O \\ X) is
+    at least (1 - C_w(|X|)) * opt) needs no check of its own: it is the
+    inequality at that X, and the inequality is checked at every X, the
+    worst ones included.  The literal equality reading fails for
+    arbitrary X (a best subset can privately hold more than the worst
+    subset's share), so the inequality plus the partition identity is
+    what is asserted.
 
     Subsets are bitmasks x over the members of O in sorted order.  The
     edge cover of every x is built once by the low-bit recurrence
-    cov[x] = cov[x ^ low] | cover(member low) and valued once; the worst
-    value of each size is read off that table, and the complement O \\ X
-    is the entry at full ^ x.  O is re-verified against the exhaustive
-    oracle unless its value is passed in.  Enumeration is capped at
-    |O| <= 20, checked before the tables are built.  Used by the
+    cov[x] = cov[x ^ low] | cover(member low) and valued once, and the
+    complement O \\ X is the entry at full ^ x.  O is re-verified against
+    the exhaustive oracle unless its value is passed in.  Enumeration is
+    capped at |O| <= 20, checked before the tables are built.  Used by the
     verification harness."""
     refs, opt = _verify_optimal(inst, O, opt)
     masks = [inst.cover_mask_of([r]) for r in sorted(refs)]
@@ -260,20 +261,11 @@ def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
     w = [mask_weight(m) for m in cov]
     if w[full] != opt:
         return False
-    worst = [None] * (len(masks) + 1)
-    for x, v in enumerate(w):
-        size = x.bit_count()
-        if worst[size] is None or v < worst[size]:
-            worst[size] = v
-
     for x, v in enumerate(w):
         rest = cov[full ^ x]
         w_rest = w[full ^ x]
         if w_rest < opt - v:
             return False
         if mask_weight(cov[x] & ~rest) + w_rest != opt:
-            return False
-        worst_v = worst[x.bit_count()]
-        if v == worst_v and w_rest < opt - worst_v:
             return False
     return True

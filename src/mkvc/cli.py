@@ -109,13 +109,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _solver_spec(name: str, args=None) -> SolverSpec:
+def _solver_spec(name: str, args) -> SolverSpec:
     kind = SolverKind(name)
-    base = None
-    if needs_base(kind):
-        base = SolverSpec(SolverKind(args.base if args else "greedy"))
-    if args is None:
-        return SolverSpec(kind, base=base, epsilon=Fraction(1, 10))
+    if args.command == "bench":
+        # bench's solvers take the defaults, apart from --oracle-budget
+        base = SolverSpec(SolverKind.GREEDY) if needs_base(kind) else None
+        return SolverSpec(kind, base=base, epsilon=Fraction(1, 10),
+                          oracle_budget=args.oracle_budget)
+    base = SolverSpec(SolverKind(args.base)) if needs_base(kind) else None
     return SolverSpec(kind, base=base, c=args.c, x_size=args.x_size,
                       side=args.side, epsilon=args.epsilon,
                       max_depth=args.max_depth,
@@ -166,7 +167,7 @@ def _cmd_bench(args) -> int:
         print(f"error: no instance files in {directory}", file=sys.stderr)
         return 1
     instances = [(f.stem, read_instance(f)) for f in files]
-    solvers = [build_solver(_solver_spec(name)) for name in args.solvers]
+    solvers = [build_solver(_solver_spec(name, args)) for name in args.solvers]
     records = run_matrix(instances, solvers, oracle=args.oracle,
                          oracle_budget=args.oracle_budget, jobs=args.jobs)
     if args.output:
@@ -194,10 +195,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
         return args.run(args)
-    except MkvcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MkvcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -221,10 +221,9 @@ def semiregular_corpus(count: int = 100, seed: int = 27182818):
     feasible = []
     for nl in range(1, 12):
         for nr in range(1, 12 - nl + 1):
-            if nl + nr > 12:
-                continue
             for dl in range(0, nr + 1):
-                if (nl * dl) % nr == 0 and nl * dl // nr <= nl:
+                # dl <= nr, so the right degree nl * dl / nr is at most nl
+                if (nl * dl) % nr == 0:
                     feasible.append((nl, nr, dl, nl * dl // nr))
     rng = random.Random(seed)
     out = []

@@ -1,15 +1,16 @@
 """Weight scaling that bounds all weights by n**ell while losing only an
 additive 1/(4*n**(ell-2)) of approximation ratio.
 
-The map is w -> ceil(n**ell * w / w_max), computed in exact arithmetic, so
-the scaled instance has integer weights in [0, n**ell] with the maximum
-attained exactly.  ratio_transfer() gives the guarantee that carries back
-to the original weights when the scaled instance is solved with ratio rho.
+The map is w -> ceil(n**ell * w / w_max), computed exactly as the negated
+floor division -(-n**ell * w // w_max), an int for int and Fraction
+weights alike, so the scaled instance has integer weights in [0, n**ell]
+with the maximum attained exactly.  ratio_transfer() gives the guarantee
+that carries back to the original weights when the scaled instance is
+solved with ratio rho.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,9 +45,7 @@ def scale_weights(inst: BipartiteInstance, ell: int) -> tuple:
         raise MkvcError("degenerate instance: all weights are zero")
     n = inst.n
     n_pow = n ** ell
-    scaled = []
-    for l, r, w in inst.edges:
-        scaled.append((l, r, math.ceil(Fraction(n_pow) * Fraction(w) / Fraction(w_max))))
+    scaled = [(l, r, -(-n_pow * w // w_max)) for l, r, w in inst.edges]
     out = BipartiteInstance(inst.n_left, inst.n_right, scaled, inst.k)
     receipt = ReductionReceipt(
         ell=ell, w_max=w_max, n=n,

@@ -12,8 +12,9 @@ Solvers share an internal "masked" calling convention: work directly on the
 parent instance with a bitmask of banned vertices and a bitmask of already
 covered edges, so no solver builds a residual instance.  Each algorithm has
 one masked implementation, and its public `solve_*` function is that run
-with nothing banned or covered at budget k; only ptas (which reports its
-schedule) and the semi-regular closed form have public paths of their own.
+with nothing banned or covered at budget k, valued by the weight the run
+returns, not again; only ptas (which reports its schedule) and the
+semi-regular closed form have public paths of their own.
 Because deletion preserves per-side index order, a masked run and a run on
 the corresponding residual instance pick identical vertices; the tests
 check this for greedy and for alg1 over greedy, exact and top-side bases.
@@ -22,12 +23,12 @@ regularity), so it cannot be a base solver.
 
 Greedy is split into its fill (`_gains`: every vertex's uncovered incident
 weight) and its pick loop (`_greedy_picks`), and the single-side ranking
-(`_top_block`) reads the same gains list.  Gains are weights everywhere;
-the fill's popcount for uniform weights is the only branch on the weight
-kind.  alg2 fills the gains once per call: they bound its small vertex
-sets, and over a greedy base they seed the greedy runs, whose traced
-direct run also yields every reduced-budget run and the gains that rank
-its completions.
+(`_top_block`) reads the same gains list and is valued by their sum.
+Gains are weights everywhere; the fill's popcount for uniform weights is
+the only branch on the weight kind.  alg2 fills the gains once per call:
+they bound its small vertex sets, and over a greedy base they seed the
+greedy runs, whose traced direct run also yields every reduced-budget run
+and the gains that rank its completions.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class SolverSpec:
 # Masked runs return (vertex mask, newly covered weight, absolute edge-cover
 # mask), where the cover mask includes the edges that were already covered
 # on entry; carrying it avoids re-deriving covers in the candidate loops.
+# A public solution carries its masked run's weight as its value.
 
 
 def _pad_mask(inst, vmask: int, banned: int, count: int, cover: int):
@@ -203,28 +205,30 @@ def _exact_masked(inst, banned: int, covered: int, budget: int,
     return vm, best_w, covered | best_em
 
 
-def _top_block(inst, side: Side, l: int, gains: list) -> list:
-    """The l vertices of one side with the largest gains (a `_gains`
-    list; negative entries are unavailable).  Within a single side the
-    incident edge sets are pairwise disjoint, so the block covers exactly
-    the sum of its gains and taking a prefix is exact.  Ties break toward
-    the smaller index; l larger than the side is clamped."""
+def _top_block(inst, side: Side, l: int, gains: list):
+    """(vertex mask, weight, edge mask) of the l vertices of one side with
+    the largest gains (a `_gains` list; negative entries are unavailable).
+    Within a single side the incident edge sets are pairwise disjoint, so
+    the block newly covers exactly the sum of its gains, which is its
+    weight.  The edge mask holds every edge incident to the block.  Ties
+    break toward the smaller index; l larger than the side is clamped."""
     ids = (range(inst.n_left) if side == Side.LEFT
            else range(inst.n_left, inst.n))
-    return sorted((v for v in ids if gains[v] >= 0),
-                  key=lambda v: (-gains[v], v))[:l]
+    inc = inst._inc
+    vm = em = weight = 0
+    for v in sorted((v for v in ids if gains[v] >= 0),
+                    key=lambda v: (-gains[v], v))[:l]:
+        vm |= 1 << v
+        em |= inc[v]
+        weight += gains[v]
+    return vm, weight, em
 
 
 def _top_side_masked(inst, side: Side, l: int, banned: int, covered: int):
     """The l allowed vertices of one side with the most uncovered incident
     weight."""
-    inc = inst._inc
-    vm = 0
-    em = 0
-    for v in _top_block(inst, side, l, _gains(inst, banned, covered)):
-        vm |= 1 << v
-        em |= inc[v]
-    return vm, inst.mask_weight(em & ~covered), covered | em
+    vm, w, em = _top_block(inst, side, l, _gains(inst, banned, covered))
+    return vm, w, covered | em
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +313,15 @@ def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
 # public solvers
 
 
-def _mask_solution(inst, vmask: int) -> CoverSolution:
+def _mask_solution(inst, vmask: int, value) -> CoverSolution:
+    """The refs of a vertex mask, with the value its run computed."""
     refs = inst._refs
-    inc = inst._inc
     verts = []
-    cover = 0
     while vmask:
         low = vmask & -vmask
-        v = low.bit_length() - 1
-        verts.append(refs[v])
-        cover |= inc[v]
+        verts.append(refs[low.bit_length() - 1])
         vmask ^= low
-    return CoverSolution(vertices=frozenset(verts),
-                         covered_weight=inst.mask_weight(cover))
+    return CoverSolution(vertices=frozenset(verts), covered_weight=value)
 
 
 def solve_greedy(inst: BipartiteInstance) -> CoverSolution:
@@ -329,14 +329,14 @@ def solve_greedy(inst: BipartiteInstance) -> CoverSolution:
     covered weight; ties break Left-first then by index.  Always returns
     exactly k vertices, padding with zero-gain picks once everything is
     covered."""
-    return _mask_solution(inst, _greedy_masked(inst, 0, 0, inst.k)[0])
+    return _mask_solution(inst, *_greedy_masked(inst, 0, 0, inst.k)[:2])
 
 
 def solve_top_side(inst: BipartiteInstance, side: Side) -> CoverSolution:
     """The min(k, side size) vertices of one side with the most incident
     weight.  The budget is deliberately not spilled onto the other side;
     pool both sides via guess_split_runner for a general-budget solver."""
-    return _mask_solution(inst, _top_side_masked(inst, side, inst.k, 0, 0)[0])
+    return _mask_solution(inst, *_top_side_masked(inst, side, inst.k, 0, 0)[:2])
 
 
 def _alg1_masked(inst, x_size, base, side, banned, covered, budget):
@@ -357,7 +357,7 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
     if x_size < 0 or x_size > inst.k:
         raise MkvcError(f"x_size={x_size} out of range [0, k={inst.k}]")
     return _mask_solution(
-        inst, _alg1_masked(inst, x_size, base, side, 0, 0, inst.k)[0])
+        inst, *_alg1_masked(inst, x_size, base, side, 0, 0, inst.k)[:2])
 
 
 def _alg2_masked(inst, c, base, banned, covered, budget):
@@ -404,13 +404,8 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     # side, ranked by that run's gains
     for b, (bm, bw, cov_b, g) in enumerate(runs, 1):
         for side in (Side.LEFT, Side.RIGHT):
-            block = _top_block(inst, side, budget - b, g)
-            tm = 0
-            cover = cov_b
-            for v in block:
-                tm |= 1 << v
-                cover |= inc[v]
-            offer(bm | tm, cover, bw + sum(g[v] for v in block))
+            tm, tw, em = _top_block(inst, side, budget - b, g)
+            offer(bm | tm, cov_b | em, bw + tw)
 
     # every small vertex set S, removed with its covered edges, base on the
     # rest.  No candidate built on S covers more than its bound: w(new
@@ -506,7 +501,7 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     those are skipped with it.  The result is that of the whole pool.
     Carries guarantee improve_ratio(base.rho).
     """
-    return _mask_solution(inst, _alg2_masked(inst, c, base, 0, 0, inst.k)[0])
+    return _mask_solution(inst, *_alg2_masked(inst, c, base, 0, 0, inst.k)[:2])
 
 
 def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int = 3):
@@ -571,7 +566,7 @@ def solve_exact(inst: BipartiteInstance,
     weight, ties to the lexicographically smallest vertex set.  Refuses
     instances with more than `enumeration_budget` subsets."""
     return _mask_solution(
-        inst, _exact_masked(inst, 0, 0, inst.k, enumeration_budget)[0])
+        inst, *_exact_masked(inst, 0, 0, inst.k, enumeration_budget)[:2])
 
 
 def solve_semiregular_exact(inst: BipartiteInstance) -> CoverSolution:
@@ -590,11 +585,10 @@ def solve_semiregular_exact(inst: BipartiteInstance) -> CoverSolution:
     side = Side.LEFT if d_left >= d_right else Side.RIGHT
     size = inst.side_size(side)
     offset = 0 if side == Side.LEFT else inst.n_left
-    vm = 0
-    for i in range(min(inst.k, size)):
-        vm |= 1 << (offset + i)
-    vm, _ = _pad_mask(inst, vm, 0, inst.k, 0)
-    return _mask_solution(inst, vm)
+    ids = range(offset, offset + min(inst.k, size))
+    vm, cover = _pad_mask(inst, sum(1 << v for v in ids), 0, inst.k,
+                          inst.cover_mask(ids))
+    return _mask_solution(inst, vm, inst.mask_weight(cover))
 
 
 def guess_split_runner(inst: BipartiteInstance, inner) -> CoverSolution:
@@ -605,7 +599,7 @@ def guess_split_runner(inst: BipartiteInstance, inner) -> CoverSolution:
     best_key = None
     for k1 in range(inst.k + 1):
         sol = inner(k1, inst.k - k1)
-        key = (-Fraction(sol.covered_weight), sol.sorted_vertices())
+        key = (-sol.covered_weight, sol.sorted_vertices())
         if best is None or key < best_key:
             best, best_key = sol, key
     return best

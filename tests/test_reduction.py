@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from mkvc import (
     BipartiteInstance, MkvcError, covered_weight, ratio_transfer,
     scale_weights, solve_exact,
 )
-from mkvc.corpus import rational_corpus
+from mkvc.corpus import random_weighted_corpus, rational_corpus
 
 
 def test_scale_hand_computed_example():
@@ -75,10 +76,17 @@ def test_ratio_transfer_input_validation():
 
 
 def test_scaled_weights_bounded_with_max_attained():
-    for _, inst in rational_corpus(count=25, seed=7):
+    corpora = (rational_corpus(count=25, seed=7)
+               + random_weighted_corpus(count=25, seed=7))
+    for _, inst in corpora:
         scaled, _ = scale_weights(inst, 3)
         ws = [w for _, _, w in scaled.edges]
         bound = inst.n ** 3
+        w_max = max(w for _, _, w in inst.edges)
+        assert ws == [
+            math.ceil(Fraction(bound) * Fraction(w) / Fraction(w_max))
+            for _, _, w in inst.edges]
+        assert all(type(w) is int for w in ws)
         assert max(ws) == bound
         assert all(0 <= w <= bound for w in ws)
 

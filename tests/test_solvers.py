@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mkvc import (
-    BipartiteInstance, MkvcError, Side, SolverKind, SolverSpec, VertexRef,
-    build_solver, covered_weight, exact_solver, greedy_solver,
-    guess_split_runner, residual, solve_alg1, solve_alg2, solve_exact,
-    solve_greedy, solve_ptas, solve_semiregular_exact, solve_top_side,
+    BipartiteInstance, CoverSolution, MkvcError, Side, SolverKind,
+    SolverSpec, VertexRef, build_solver, covered_weight, exact_solver,
+    greedy_solver, guess_split_runner, residual, solve_alg1, solve_alg2,
+    solve_exact, solve_greedy, solve_ptas, solve_semiregular_exact,
+    solve_top_side,
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
     GREEDY_RHO, _alg2_masked, _gains, _greedy_masked, _lex_less,
-    _mask_solution, _pad_mask, _top_side_masked,
+    _pad_mask, _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -104,6 +105,22 @@ def test_top_side_exact_within_side():
             take = min(inst.k, len(refs))
             best = max(covered_weight(inst, c) for c in combinations(refs, take))
             assert sol.covered_weight == best
+
+
+def test_greedy_and_top_side_leave_the_bit_planes_unbuilt():
+    # both are valued by the sum of their gains, never by mask_weight
+    rng = random.Random(8)
+    instances = [BipartiteInstance(
+        2, 3, [(0, 0, 3), (0, 1, 5), (1, 2, Fraction(7, 2))], 2)]
+    instances += [random_instance(rng) for _ in range(30)]
+    for inst in instances:
+        if inst._uniform is not None:
+            continue
+        sols = [solve_greedy(inst), solve_top_side(inst, Side.LEFT),
+                solve_top_side(inst, Side.RIGHT)]
+        assert inst._planes is None
+        for sol in sols:
+            assert sol.covered_weight == covered_weight(inst, sol.vertices)
 
 
 # -- prefix removal (alg1) ----------------------------------------------------
@@ -529,7 +546,8 @@ def _residual_alg1(inst, x_size, base, side):
     """Reference alg1 on an explicitly built residual instance: the top
     x_size vertices of one side (ranked here by a plain sort) are deleted
     with their edges, the base runs on the residual, and the union is
-    padded to k with the lexicographically first unused vertices."""
+    padded to k with the lexicographically first unused vertices, and
+    valued here on the original weights."""
     side_refs = [r for r in inst.all_refs() if r.side == side]
     prefix = sorted(side_refs,
                     key=lambda r: (-covered_weight(inst, [r]), r))[:x_size]
@@ -540,7 +558,9 @@ def _residual_alg1(inst, x_size, base, side):
     for ref in chosen:
         vm |= 1 << inst.vertex_id(ref)
     vm, _ = _pad_mask(inst, vm, 0, inst.k, 0)
-    return _mask_solution(inst, vm)
+    refs = frozenset(inst.ref_of(v) for v in range(inst.n) if vm >> v & 1)
+    return CoverSolution(vertices=refs,
+                         covered_weight=covered_weight(inst, refs))
 
 
 @given(weighted_instances(), st.data())
