@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MkvcError
-from .solvers import ORACLE_BUDGET, SolverKind, solve_exact
+from .solvers import ORACLE_BUDGET, RatedSolver, solve_exact
 
 
 @dataclass(frozen=True)
@@ -28,42 +28,31 @@ class RunRecord:
     error: str | None = None
 
 
-def _run_one(instance_id, label: str, run, opt, err) -> RunRecord:
-    """The row of one run: `run()` returns a solution or raises."""
+def _run_one(instance_id, inst, solver: RatedSolver, opt, err) -> RunRecord:
     t0 = time.perf_counter()
     try:
-        sol = run()
+        sol = solver.run(inst)
     except MkvcError as exc:
-        return RunRecord(instance_id, label, error=str(exc),
+        return RunRecord(instance_id, solver.label(), error=str(exc),
                          opt=opt, wall_time=time.perf_counter() - t0)
     wall = time.perf_counter() - t0
     ratio = None
     if opt is not None:
         ratio = Fraction(sol.covered_weight, opt) if opt > 0 else Fraction(1)
-    return RunRecord(instance_id, label, value=sol.covered_weight,
+    return RunRecord(instance_id, solver.label(), value=sol.covered_weight,
                      opt=opt, ratio=ratio, wall_time=wall, error=err)
 
 
 def _run_task(task):
     instance_id, inst, solvers, oracle, oracle_budget = task
-    # one oracle run per instance: its optimum or error goes on every row,
-    # and it is the row of an `exact` solver at the oracle's budget
-    opt = err = found = None
+    # one oracle run per instance; its optimum or error goes on every row
+    opt = err = None
     if oracle:
-        found = _run_one(instance_id, "exact",
-                         lambda: solve_exact(inst, oracle_budget), None, None)
-        opt = found.value
-        err = f"oracle: {found.error}" if found.error else None
-        found = replace(found, opt=opt, ratio=None if err else Fraction(1))
-    rows = []
-    for s in solvers:
-        if (found is not None and s.spec.kind is SolverKind.EXACT
-                and s.spec.oracle_budget == oracle_budget):
-            rows.append(found)
-        else:
-            rows.append(_run_one(instance_id, s.label(), lambda: s.run(inst),
-                                 opt, err))
-    return rows
+        try:
+            opt = solve_exact(inst, oracle_budget).covered_weight
+        except MkvcError as exc:
+            err = f"oracle: {exc}"
+    return [_run_one(instance_id, inst, s, opt, err) for s in solvers]
 
 
 def run_matrix(instances, solvers, oracle: bool = False,
@@ -72,9 +61,7 @@ def run_matrix(instances, solvers, oracle: bool = False,
 
     With oracle=True the exhaustive optimum is computed per instance and
     ratios are attached; an oracle-infeasible instance is recorded as a
-    per-row error and the run continues.  An `exact` solver at the
-    oracle's budget takes the oracle's run as its row instead of a second
-    enumeration.
+    per-row error and the run continues.
     """
     tasks = [(iid, inst, list(solvers), oracle, oracle_budget)
              for iid, inst in instances]

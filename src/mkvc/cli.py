@@ -100,7 +100,9 @@ def _build_parser() -> _Parser:
                        help="comma-separated solver names")
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--output", "-o", default=None)
-    bench.set_defaults(run=_cmd_bench)
+    # bench's solvers take solve's defaults, apart from --oracle-budget
+    bench.set_defaults(run=_cmd_bench, base="greedy", c=3, x_size=0,
+                       side=Side.LEFT, epsilon=Fraction(1, 10), max_depth=2)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
     verify.add_argument("--small-n", type=int, default=6)
@@ -111,12 +113,10 @@ def _build_parser() -> _Parser:
 
 def _solver_spec(name: str, args) -> SolverSpec:
     kind = SolverKind(name)
-    if args.command == "bench":
-        # bench's solvers take the defaults, apart from --oracle-budget
-        base = SolverSpec(SolverKind.GREEDY) if needs_base(kind) else None
-        return SolverSpec(kind, base=base, epsilon=Fraction(1, 10),
+    base = None
+    if needs_base(kind):
+        base = SolverSpec(SolverKind(args.base),
                           oracle_budget=args.oracle_budget)
-    base = SolverSpec(SolverKind(args.base)) if needs_base(kind) else None
     return SolverSpec(kind, base=base, c=args.c, x_size=args.x_size,
                       side=args.side, epsilon=args.epsilon,
                       max_depth=args.max_depth,

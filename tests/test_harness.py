@@ -1,18 +1,15 @@
 import io
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mkvc.bench
-import mkvc.solvers
 from mkvc import (
     BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
-    VertexRef, build_solver, covered_weight, exact_solver, improve_ratio,
-    read_instance, run_matrix, solve_exact, solve_greedy, write_csv,
-    write_instance,
+    VertexRef, build_solver, covered_weight, improve_ratio, read_instance,
+    run_matrix, solve_exact, solve_greedy, write_csv, write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
@@ -240,34 +237,6 @@ def test_run_matrix_runs_the_oracle_once_per_instance(monkeypatch, k22):
         "oracle: instance too large for oracle"] * 2
 
 
-def test_run_matrix_exact_row_is_the_oracle_run(monkeypatch, k22):
-    calls = []
-    enumerate_subsets = mkvc.solvers._exact_masked
-
-    def counted(*args):
-        calls.append(args)
-        return enumerate_subsets(*args)
-
-    monkeypatch.setattr(mkvc.solvers, "_exact_masked", counted)
-    big = BipartiteInstance(6, 6, [(i, i, 1) for i in range(6)], 4)
-    instances = [("k22", k22), ("k21", k22.with_budget(1)), ("big", big)]
-    greedy = build_solver(SolverSpec(SolverKind.GREEDY))
-    reused = run_matrix(instances, [greedy, exact_solver(100)], oracle=True,
-                        oracle_budget=100)
-    assert len(calls) == len(instances)
-    # an exact row at another budget runs on its own and reads the same
-    separate = run_matrix(instances, [greedy, exact_solver(101)],
-                          oracle=True, oracle_budget=100)
-    assert len(calls) == 3 * len(instances)
-    strip = lambda recs: [replace(r, wall_time=0) for r in recs]
-    assert strip(reused) == strip(separate)
-    rows = {(r.instance_id, r.solver): r for r in reused}
-    assert rows["k22", "exact"].value == rows["k22", "exact"].opt == 4
-    assert rows["k22", "exact"].ratio == 1
-    assert rows["big", "exact"].error == "instance too large for oracle"
-    assert rows["big", "greedy"].error == "oracle: instance too large for oracle"
-
-
 def test_cli_bench_exact_row_obeys_the_oracle_budget(tmp_path, capsys):
     # 6 x 6 at k = 4 has C(12, 4) = 495 subsets
     edges = "\n".join(f"e {i} {j} 1" for i in range(6) for j in range(6))
@@ -407,6 +376,21 @@ def test_cli_solve_alg2_small_c_exits_one(tmp_path, capsys):
     path = _write_k22(tmp_path)
     assert main(["solve", str(path), "--algorithm", "alg2", "--c", "2"]) == 1
     assert "c must be > 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", [["alg1", "--x-size", "1"], ["alg2"],
+                                       ["ptas"]])
+def test_cli_solve_exact_base_obeys_the_oracle_budget(tmp_path, capsys,
+                                                      algorithm):
+    edges = "\n".join(f"e {i} {j} {i + j + 1}"
+                      for i in range(6) for j in range(6))
+    path = tmp_path / "k66.mkvc"
+    path.write_text(f"p mkvc 6 6 36 3\n{edges}\n")
+    args = ["solve", str(path), "--algorithm", *algorithm, "--base", "exact"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--oracle-budget", "1"]) == 1
+    assert "instance too large for oracle" in capsys.readouterr().err
 
 
 def test_cli_solve_semiregular_error_exits_one(tmp_path, capsys):
