@@ -259,8 +259,6 @@ def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
         cov[x] = cov[x ^ low] | masks[low.bit_length() - 1]
     mask_weight = inst.mask_weight
     w = [mask_weight(m) for m in cov]
-    if w[full] != opt:
-        return False
     for x, v in enumerate(w):
         rest = cov[full ^ x]
         w_rest = w[full ^ x]

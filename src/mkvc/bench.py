@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +42,7 @@ def _run_one(instance_id, inst, solver: RatedSolver, opt, err) -> RunRecord:
                      opt=opt, ratio=ratio, wall_time=wall, error=err)
 
 
-def _run_task(task):
-    instance_id, inst, solvers, oracle, oracle_budget = task
+def _run_task(instance_id, inst, solvers, oracle, oracle_budget):
     # one oracle run per instance; its optimum or error goes on every row
     opt = err = None
     if oracle:
@@ -56,21 +54,16 @@ def _run_task(task):
 
 
 def run_matrix(instances, solvers, oracle: bool = False,
-               oracle_budget: int = ORACLE_BUDGET, jobs: int = 1):
+               oracle_budget: int = ORACLE_BUDGET):
     """Run every solver on every (instance_id, instance) pair.
 
     With oracle=True the exhaustive optimum is computed per instance and
     ratios are attached; an oracle-infeasible instance is recorded as a
     per-row error and the run continues.
     """
-    tasks = [(iid, inst, list(solvers), oracle, oracle_budget)
-             for iid, inst in instances]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_task, tasks))
-    else:
-        chunks = [_run_task(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+    solvers = list(solvers)
+    records = [rec for iid, inst in instances
+               for rec in _run_task(iid, inst, solvers, oracle, oracle_budget)]
     records.sort(key=lambda r: (r.instance_id, r.solver))
     return records
 

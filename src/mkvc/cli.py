@@ -98,7 +98,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)
     bench.add_argument("--solvers", type=_solver_names, default="greedy,alg2",
                        help="comma-separated solver names")
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--output", "-o", default=None)
     # bench's solvers take solve's defaults, apart from --oracle-budget
     bench.set_defaults(run=_cmd_bench, base="greedy", c=3, x_size=0,
@@ -169,7 +168,7 @@ def _cmd_bench(args) -> int:
     instances = [(f.stem, read_instance(f)) for f in files]
     solvers = [build_solver(_solver_spec(name, args)) for name in args.solvers]
     records = run_matrix(instances, solvers, oracle=args.oracle,
-                         oracle_budget=args.oracle_budget, jobs=args.jobs)
+                         oracle_budget=args.oracle_budget)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             write_csv(records, fh)

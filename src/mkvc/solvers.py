@@ -41,7 +41,7 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .analysis import improve_ratio, ptas_schedule
+from .analysis import improve_ratio, ptas_schedule, secondary_bounds
 from .errors import MkvcError
 from .graph import BipartiteInstance, CoverSolution, Side
 
@@ -306,7 +306,8 @@ def _alg1_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
 def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
     if spec.c <= 2:
         raise MkvcError("c must be > 2")
-    return improve_ratio(base.rho)
+    # the least case bound: below 3/4, (1+3rho)/(5-rho) is under improve_ratio
+    return min(improve_ratio(base.rho), *secondary_bounds(base.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +500,8 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     best tie it and even the lexicographically first k-set holding C sorts
     after it; either test then holds for every extension of C too, so
     those are skipped with it.  The result is that of the whole pool.
-    Carries guarantee improve_ratio(base.rho).
+    Carries the least of improve_ratio(base.rho) and both
+    secondary_bounds(base.rho).
     """
     return _mask_solution(inst, *_alg2_masked(inst, c, base, 0, 0, inst.k)[:2])
 

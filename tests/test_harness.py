@@ -1,6 +1,10 @@
 import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -9,7 +13,8 @@ import mkvc.bench
 from mkvc import (
     BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
     VertexRef, build_solver, covered_weight, improve_ratio, read_instance,
-    run_matrix, solve_exact, solve_greedy, write_csv, write_instance,
+    run_matrix, secondary_bounds, solve_exact, solve_greedy, write_csv,
+    write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
@@ -282,15 +287,17 @@ def test_csv_empty_matrix_is_header_only():
     assert buf.getvalue() == "instance_id,solver,value,opt,ratio,time_ms\n"
 
 
-def test_run_matrix_parallel_matches_serial(k22):
-    solvers = _solvers("greedy", "exact")
-    serial = run_matrix([("a", k22), ("b", k22.with_budget(1))], solvers,
-                        oracle=True)
-    parallel = run_matrix([("a", k22), ("b", k22.with_budget(1))], solvers,
-                          oracle=True, jobs=2)
-    strip = lambda recs: [(r.instance_id, r.solver, r.value, r.opt, r.ratio)
-                          for r in recs]
-    assert strip(serial) == strip(parallel)
+@pytest.mark.parametrize("module", ["mkvc", "mkvc.cli"])
+def test_import_loads_no_process_pool(module):
+    # the package runs in one process, so importing it loads no pool
+    src = str(Path(mkvc.__file__).resolve().parents[1])
+    code = (f"import sys, {module}; print(sorted(name for name in "
+            "sys.modules if name.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -331,7 +338,8 @@ def test_cli_solve_with_scaling(tmp_path, capsys):
 def test_cli_ptas_transfer_guarantee_is_the_executed_chains(tmp_path, capsys,
                                                             depth):
     # eps = 1/10 needs far more than two passes from greedy, so the printed
-    # guarantee is that of the passes that ran, not 1 - eps - 1/(4n)
+    # guarantee is that of the passes that ran, each proving its least case
+    # bound, not 1 - eps - 1/(4n)
     path = tmp_path / "g12.mkvc"
     write_instance(generate(GenSpec(kind=GenKind.UNIFORM_RANDOM, n_left=6,
                                     n_right=6, seed=3, k=3)), path)
@@ -341,7 +349,7 @@ def test_cli_ptas_transfer_guarantee_is_the_executed_chains(tmp_path, capsys,
                   for line in capsys.readouterr().out.splitlines())
     rho = GREEDY_RHO
     for _ in range(depth):
-        rho = improve_ratio(rho)
+        rho = min(improve_ratio(rho), *secondary_bounds(rho))
     assert Fraction(fields["transfer_guarantee"]) == rho - Fraction(1, 48)
     assert fields["transfer_guarantee"] != "211/240"
 
@@ -408,6 +416,23 @@ def test_cli_usage_errors_exit_64(capsys):
     assert main(["solve", "x", "--algorithm", "nope"]) == 64
     assert main(["--bogus"]) == 64
     assert main(["bench"]) == 64
+    assert main(["bench", ".", "--jobs", "2"]) == 64
+    assert main(["solve", "x", "--algorithm", "topside", "--side", "up"]) == 64
+    assert "side must be left or right" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side,tag", [("left", "L"), ("L", "L"),
+                                      ("right", "R"), ("R", "R")])
+def test_cli_solve_side_picks_the_top_side(tmp_path, capsys, side, tag):
+    path = tmp_path / "small.mkvc"
+    path.write_text("p mkvc 3 3 6 2\ne 0 0 4\ne 0 1 1\ne 1 1 3\n"
+                    "e 1 2 2\ne 2 0 5\ne 2 2 1\n")
+    assert main(["solve", str(path), "--algorithm", "topside",
+                 "--side", side]) == 0
+    fields = dict(line.split(" ", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    tokens = fields["vertices"].split()
+    assert len(tokens) == 2 and all(t[0] == tag for t in tokens)
 
 
 def test_cli_bench_writes_csv(tmp_path):
@@ -486,8 +511,8 @@ def _opt(flag, values):
 
 def _cli_flags(paths):
     """Per subcommand, its required tokens and strategies for its options
-    (sizes <= 6, --small-n <= 4, --scale-ell <= 4, --jobs <= 1, so no
-    process is started)."""
+    (sizes <= 6, --small-n <= 4 and --scale-ell <= 4, so each call is
+    quick)."""
     ints = st.integers
     kinds = [k.value for k in SolverKind]
     return {
@@ -512,7 +537,6 @@ def _cli_flags(paths):
             st.just(["--oracle"]), _opt("--oracle-budget", ints(-1, 500)),
             _opt("--solvers", st.lists(st.sampled_from(kinds + ["foo", ""]),
                                        max_size=3).map(",".join)),
-            _opt("--jobs", ints(-1, 1)),
             _opt("--output", st.sampled_from(paths["out"]))]),
         "verify": ([], [_opt("--small-n", ints(-1, 4)),
                         _opt("--seed", ints(-3, 9))]),

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mkvc import (
     BipartiteInstance, CoverSolution, MkvcError, Side, SolverKind,
     SolverSpec, VertexRef, build_solver, covered_weight, exact_solver,
-    greedy_solver, guess_split_runner, residual, solve_alg1, solve_alg2,
-    solve_exact, solve_greedy, solve_ptas, solve_semiregular_exact,
-    solve_top_side,
+    greedy_solver, guess_split_runner, improve_ratio, residual,
+    secondary_bounds, solve_alg1, solve_alg2, solve_exact, solve_greedy,
+    solve_ptas, solve_semiregular_exact, solve_top_side,
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
@@ -257,6 +257,15 @@ def test_ptas_warns_when_depth_clamped(k22):
     assert sol.meta["achieved_ratio_bound"] < sol.meta["target_ratio"]
     assert sol.meta["executed_depth"] == 1
     assert sol.meta["scheduled_depth"] > 1
+
+
+def test_ptas_warns_when_the_proven_chain_falls_short(k22):
+    # improve_ratio lifts greedy past 2/3 in one pass, so eps = 1/3 schedules
+    # one level, but that level proves only (1+3rho)/(5-rho) < 2/3
+    with pytest.warns(UserWarning, match="depth clamped to 1"):
+        sol = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 2)
+    assert sol.meta["scheduled_depth"] == sol.meta["executed_depth"] == 1
+    assert sol.meta["achieved_ratio_bound"] == Fraction(72409, 109197)
 
 
 def test_ptas_depth_clamp_warning_names_the_caller(k22):
@@ -717,19 +726,44 @@ def test_rated_ptas_builds_its_schedule_once(monkeypatch):
 
 # -- rated solver plumbing ----------------------------------------------------------
 
+def _least_bound(rho):
+    # what one amplifier pass proves: the least of its case bounds
+    return min(improve_ratio(rho), *secondary_bounds(rho))
+
+
 def test_build_solver_rhos():
     assert build_solver(SolverSpec(SolverKind.GREEDY)).rho == GREEDY_RHO
     assert build_solver(SolverSpec(SolverKind.EXACT)).rho == 1
     amp = build_solver(SolverSpec(SolverKind.ALG2,
                                   base=SolverSpec(SolverKind.GREEDY)))
-    from mkvc import improve_ratio
-    assert amp.rho == improve_ratio(GREEDY_RHO)
+    assert amp.rho == _least_bound(GREEDY_RHO) == Fraction(72409, 109197)
+    assert amp.rho < improve_ratio(GREEDY_RHO)
     sch = build_solver(SolverSpec(SolverKind.PTAS,
                                   base=SolverSpec(SolverKind.GREEDY),
                                   epsilon=Fraction(1, 5)))
     # the schedule from greedy to 4/5 is longer than max_depth=2, so the
     # guarantee is that of the two passes that run, not 1 - epsilon
-    assert sch.rho == improve_ratio(improve_ratio(GREEDY_RHO)) < Fraction(4, 5)
+    assert sch.rho == _least_bound(_least_bound(GREEDY_RHO)) < Fraction(4, 5)
+    ten = build_solver(SolverSpec(SolverKind.PTAS,
+                                  base=SolverSpec(SolverKind.GREEDY),
+                                  epsilon=Fraction(1, 10)))
+    assert ten.rho == Fraction(40803, 59197)
+    assert build_solver(SolverSpec(SolverKind.PTAS,
+                                   base=SolverSpec(SolverKind.EXACT),
+                                   epsilon=Fraction(1, 10))).rho == 1
+
+
+@pytest.mark.parametrize("spec,match", [
+    (SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY)),
+     "ptas needs epsilon"),
+    (SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+                epsilon=Fraction(1, 10), max_depth=0), "max_depth"),
+    (SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.EXACT),
+                epsilon=Fraction(1)), "admissible"),
+], ids=["no-epsilon", "depth-0", "exact-eps-1"])
+def test_build_solver_rejects_bad_ptas_chains(spec, match):
+    with pytest.raises(MkvcError, match=match):
+        build_solver(spec)
 
 
 def test_build_solver_rejects_negative_prefix():
