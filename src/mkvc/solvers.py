@@ -14,7 +14,10 @@ covered edges, so no solver builds a residual instance.  Each algorithm has
 one masked implementation, and its public `solve_*` function is that run
 with nothing banned or covered at budget k, valued by the weight the run
 returns, not again; only ptas (which reports its schedule) and the
-semi-regular closed form have public paths of their own.
+semi-regular closed form have public paths of their own.  A masked run also
+takes a trailing `floor` (default -1): the caller will discard any result
+strictly below it.  Only alg2 reads it, to cut small sets that cannot reach
+it; every other kind ignores it, and ptas hands it to its outer amplifier.
 Because deletion preserves per-side index order, a masked run and a run on
 the corresponding residual instance pick identical vertices; the tests
 check this for greedy and for alg1 over greedy, exact and top-side bases.
@@ -84,6 +87,9 @@ class SolverSpec:
 # Masked runs return (vertex mask, newly covered weight, absolute edge-cover
 # mask), where the cover mask includes the edges that were already covered
 # on entry; carrying it avoids re-deriving covers in the candidate loops.
+# A run given a floor returns the same triple as without it whenever that
+# triple's value reaches the floor, and otherwise a full-size set valued
+# below it.
 # A public solution carries its masked run's weight as its value.
 
 
@@ -253,12 +259,13 @@ class RatedSolver:
     def run(self, inst: BipartiteInstance) -> CoverSolution:
         return _KINDS[self.spec.kind].run(self, inst)
 
-    def run_masked(self, inst, banned: int, covered: int, budget: int):
+    def run_masked(self, inst, banned: int, covered: int, budget: int,
+                   floor=-1):
         masked = _KINDS[self.spec.kind].masked
         if masked is None:
             raise MkvcError(f"{self.spec.kind.value} has no masked run, so "
                             "it cannot be a base")
-        return masked(self, inst, banned, covered, budget)
+        return masked(self, inst, banned, covered, budget, floor)
 
 
 def greedy_solver() -> RatedSolver:
@@ -361,7 +368,7 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
         inst, *_alg1_masked(inst, x_size, base, side, 0, 0, inst.k)[:2])
 
 
-def _alg2_masked(inst, c, base, banned, covered, budget):
+def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     if c <= 2:
         raise MkvcError("c must be > 2")
     allowed = [v for v in range(inst.n) if not banned >> v & 1]
@@ -421,7 +428,14 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
     # (by submodularity) the tight bound cap every candidate built on
     # them, each budget-set holding one holds S, and the incumbent only
     # rises.  The prefix bound falls along the order, so its first failure
-    # also skips every later sibling.
+    # also skips every later sibling.  Each node hands its residual gains
+    # and newly covered weight down, so a child walks only its own vertex's
+    # newly covered edges.  S is also cut when its bound is strictly below
+    # `floor`, under which the caller discards the result; the tie rules
+    # still compare with the incumbent alone.  The cut is strict, so a run
+    # whose value reaches the floor is unchanged by it.  A small set's base
+    # run gets max(incumbent, floor) less what S newly covers as its own
+    # floor: a completion below that is discarded here in turn.
     order = sorted(allowed, key=lambda v: (-gains[v], v))
     top = [gains[v] for v in order]
     prefix = [0, *accumulate(top)]
@@ -434,7 +448,7 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
         first, _ = _pad_mask(inst, sm, banned, budget, 0)
         return not _lex_less(first, best_vm)
 
-    def grow(pos, sm, cov_s):
+    def grow(pos, sm, cov_s, g_s, ws_s):
         # the best completion of U = pos + [i] takes its other `rest`
         # members from the top of the order; those of pos inside that
         # window are already counted by the prefix sum
@@ -448,7 +462,7 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
             a += top[p]
         for i in range(pos[-1] + 1 if pos else 0, len(order)):
             bound = a + top[i]
-            if bound < best_w:
+            if bound < best_w or bound < floor:
                 break
             um, cov_u = sm | bits[i], cov_s | incs[i]
             if (bound == best_w or best_w == reach) and loses_tie(um):
@@ -457,9 +471,11 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
             if rest == 0:
                 offer(um, cm, inst.mask_weight(cov_u & not_cov))
                 continue
-            g = gains[:]
-            ws = 0
-            new = cov_u & not_cov
+            # U's residual gains are pos's, less i's own newly covered
+            # edges; pos's members are already -1
+            g = g_s[:]
+            ws = ws_s
+            new = incs[i] & ~cov_s & not_cov
             while new:
                 low = new & -new
                 l, r, w = edges[low.bit_length() - 1]
@@ -467,21 +483,23 @@ def _alg2_masked(inst, c, base, banned, covered, budget):
                 g[n_left + r] -= w
                 ws += w
                 new ^= low
-            for p in (*pos, i):
-                g[order[p]] = -1
+            g[order[i]] = -1
             bound = ws + sum(sorted(g, reverse=True)[:rest])
-            if bound < best_w or bound == best_w and loses_tie(um):
+            if (bound < best_w or bound < floor
+                    or bound == best_w and loses_tie(um)):
                 continue
             if seeded:
-                rm, rw, cov_r = _greedy_picks(inst, g, cm, rest)
+                rm, rw, cov_r = _greedy_picks(inst, g[:] if j < depth else g,
+                                              cm, rest)
             else:
-                rm, rw, cov_r = base.run_masked(inst, banned | um, cm, rest)
+                rm, rw, cov_r = base.run_masked(inst, banned | um, cm, rest,
+                                                max(best_w, floor) - ws)
             offer(um | rm, cov_r, ws + rw)
             if j < depth:
-                grow(pos + [i], um, cov_u)
+                grow(pos + [i], um, cov_u, g, ws)
 
     if budget:
-        grow([], 0, 0)
+        grow([], 0, 0, gains, 0)
 
     return best_vm, inst.mask_weight(best_cover & not_cov), best_cover
 
@@ -621,7 +639,8 @@ class _Kind(NamedTuple):
     rho: Callable | None    # (spec, base RatedSolver or None) -> Fraction
     needs_base: bool
     run: Callable           # (solver, inst) -> CoverSolution
-    masked: Callable | None  # (solver, inst, banned, covered, budget)
+    # (solver, inst, banned, covered, budget, floor)
+    masked: Callable | None
 
 
 def _side_tag(side: Side) -> str:
@@ -634,8 +653,8 @@ _KINDS = {
         rho=lambda spec, base: GREEDY_RHO,
         needs_base=False,
         run=lambda s, inst: solve_greedy(inst),
-        masked=lambda s, inst, banned, covered, budget: _greedy_masked(
-            inst, banned, covered, budget)),
+        masked=lambda s, inst, banned, covered, budget, floor: (
+            _greedy_masked(inst, banned, covered, budget))),
     SolverKind.TOP_SIDE: _Kind(
         label=lambda spec: f"topside[{_side_tag(spec.side)}]",
         # a single-side top-k run only bounds the optimum share of that
@@ -644,8 +663,8 @@ _KINDS = {
         rho=lambda spec, base: Fraction(1, 2),
         needs_base=False,
         run=lambda s, inst: solve_top_side(inst, s.spec.side),
-        masked=lambda s, inst, banned, covered, budget: _top_side_masked(
-            inst, s.spec.side, budget, banned, covered)),
+        masked=lambda s, inst, banned, covered, budget, floor: (
+            _top_side_masked(inst, s.spec.side, budget, banned, covered))),
     SolverKind.ALG1: _Kind(
         label=lambda spec: (f"alg1[x={spec.x_size},{_side_tag(spec.side)}]"
                             f"({spec.base.label()})"),
@@ -653,16 +672,17 @@ _KINDS = {
         needs_base=True,
         run=lambda s, inst: solve_alg1(inst, s.spec.x_size, s.base,
                                        s.spec.side),
-        masked=lambda s, inst, banned, covered, budget: _alg1_masked(
-            inst, s.spec.x_size, s.base, s.spec.side, banned, covered,
-            budget)),
+        masked=lambda s, inst, banned, covered, budget, floor: (
+            _alg1_masked(inst, s.spec.x_size, s.base, s.spec.side, banned,
+                         covered, budget))),
     SolverKind.ALG2: _Kind(
         label=lambda spec: f"alg2[c={spec.c}]({spec.base.label()})",
         rho=_alg2_rho,
         needs_base=True,
         run=lambda s, inst: solve_alg2(inst, s.spec.c, s.base),
-        masked=lambda s, inst, banned, covered, budget: _alg2_masked(
-            inst, s.spec.c, s.base, banned, covered, budget)),
+        masked=lambda s, inst, banned, covered, budget, floor: (
+            _alg2_masked(inst, s.spec.c, s.base, banned, covered, budget,
+                         floor))),
     SolverKind.PTAS: _Kind(
         label=lambda spec: (f"ptas[eps={spec.epsilon},d<={spec.max_depth}]"
                             f"({spec.base.label()})"),
@@ -670,15 +690,16 @@ _KINDS = {
         needs_base=True,
         # warned from here, RatedSolver.run, then its caller
         run=lambda s, inst: _run_chain(inst, s.spec.epsilon, s.chain, 4),
-        masked=lambda s, inst, banned, covered, budget: s.chain[0].run_masked(
-            inst, banned, covered, budget)),
+        masked=lambda s, inst, banned, covered, budget, floor: (
+            s.chain[0].run_masked(inst, banned, covered, budget, floor))),
     SolverKind.EXACT: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),
         needs_base=False,
         run=lambda s, inst: solve_exact(inst, s.spec.oracle_budget),
-        masked=lambda s, inst, banned, covered, budget: _exact_masked(
-            inst, banned, covered, budget, s.spec.oracle_budget)),
+        masked=lambda s, inst, banned, covered, budget, floor: (
+            _exact_masked(inst, banned, covered, budget,
+                          s.spec.oracle_budget))),
     SolverKind.SEMI_REGULAR: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),

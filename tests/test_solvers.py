@@ -673,6 +673,121 @@ def test_masked_alg2_matches_pooled_reference(case):
         assert got[1] == want[1] and type(got[1]) is type(want[1])
 
 
+PTAS_GREEDY = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+                         epsilon=Fraction(1, 10))
+
+
+@given(weighted_instances(max_side=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_alg2_floor_changes_only_results_below_it(inst, data):
+    # a floor at or below the free value leaves the run as it is; above
+    # it, the run may return anything of full size that lies below it
+    banned = data.draw(st.integers(0, (1 << inst.n) - 1))
+    covered = data.draw(st.integers(0, inst._full_mask))
+    base = greedy_solver()
+    for budget in range(inst.n - banned.bit_count() + 1):
+        free = _alg2_masked(inst, 3, base, banned, covered, budget, floor=-1)
+        for floor in (free[1] - 1, free[1], free[1] + 1):
+            got = _alg2_masked(inst, 3, base, banned, covered, budget, floor)
+            if floor <= free[1]:
+                assert got == free and type(got[1]) is type(free[1])
+            else:
+                assert got[1] < floor and got[0].bit_count() == budget
+    # ptas's masked entry hands the floor to its outermost amplifier
+    ptas = build_solver(PTAS_GREEDY)
+    budget = data.draw(st.integers(0, min(4, inst.n - banned.bit_count())))
+    free = ptas.chain[0].run_masked(inst, banned, covered, budget)
+    for floor in (-1, free[1], free[1] + 1):
+        assert ptas.run_masked(inst, banned, covered, budget, floor) == (
+            ptas.chain[0].run_masked(inst, banned, covered, budget, floor))
+
+
+def test_alg2_floor_at_its_value_keeps_a_tie_at_the_bound():
+    # greedy takes R0 first; {L0} + L1 ties it at exactly its bound and
+    # wins on the lex rule, so a floor equal to the value must not cut it
+    inst = BipartiteInstance(2, 1, [(0, 0, 1), (1, 0, 1)], 2)
+    assert greedy_solver().run(inst).vertices == {L(0), R(0)}
+    for floor in (-1, 2):
+        got = _alg2_masked(inst, 3, greedy_solver(), 0, 0, 2, floor)
+        assert got[:2] == (0b011, 2)
+
+
+class _RecordingBase:
+    """A base with a real solver's spec that records each masked call, the
+    floor it was passed (None if none) and its result."""
+
+    def __init__(self, solver):
+        self.spec = solver.spec
+        self.solver = solver
+        self.calls = []
+
+    def run_masked(self, inst, banned, covered, budget, floor=None):
+        args = (inst, banned, covered, budget)
+        got = self.solver.run_masked(*args, -1 if floor is None else floor)
+        self.calls.append((args, floor, got))
+        return got
+
+
+@given(weighted_instances(max_side=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_floor_passed_to_an_inner_amplifier_is_sound(inst, data):
+    # the inner floor is the outer incumbent less what the small set covers
+    # itself, so it never exceeds what the outer run finally returns, and
+    # an inner result that it changes lies below it
+    banned = data.draw(st.integers(0, (1 << inst.n) - 1))
+    covered = data.draw(st.integers(0, inst._full_mask))
+    inner = build_solver(ALG2_BASES["alg2_greedy"])
+    for budget in range(inst.n - banned.bit_count() + 1):
+        base = _RecordingBase(inner)
+        value = _alg2_masked(inst, 3, base, banned, covered, budget)[1]
+        for args, floor, got in base.calls:
+            if floor is None:
+                continue
+            ws = inst.mask_weight(args[2] & ~covered)
+            assert floor + ws <= value
+            assert got == inner.run_masked(*args) or got[1] < floor
+
+
+def _seeded_instance(seed, n, k, density):
+    """Sides n//2 and n - n//2 with round(density * n_left * n_right)
+    distinct edges drawn uniformly and weights in [1, 100], as the
+    benchmark's weighted workloads draw them."""
+    rng = random.Random(seed)
+    nl, nr = n // 2, n - n // 2
+    picks = sorted(rng.sample(range(nl * nr), round(density * nl * nr)))
+    edges = [(e // nr, e % nr, rng.randint(1, 100)) for e in picks]
+    return BipartiteInstance(nl, nr, edges, k)
+
+
+# (kind, seed, n, k, density) -> (vertex ids, value) of alg2 over greedy and
+# of ptas at eps 1/10, depth 2.  The benchmark digests reach only n <= 34
+# for alg2 and n <= 16 for ptas, short of the small-set search's deeper
+# paths and of the floors that nested levels hand down
+PINNED_MODERATE_N = {
+    ("alg2", 1, 60, 8, 0.3): ((0, 7, 17, 29, 35, 42, 57, 59), 5531),
+    ("alg2", 2, 60, 10, 0.3): ((0, 1, 8, 12, 17, 22, 24, 26, 28, 35), 6756),
+    ("alg2", 3, 100, 8, 0.3): ((10, 19, 21, 30, 39, 46, 47, 48), 8745),
+    ("alg2", 4, 100, 10, 0.2): ((3, 6, 12, 13, 24, 33, 52, 53, 80, 97), 7449),
+    ("ptas", 5, 40, 6, 0.3): ((20, 21, 28, 31, 34, 38), 2956),
+    ("ptas", 6, 40, 8, 0.3): ((9, 16, 18, 19, 20, 27, 28, 34), 3333),
+    ("ptas", 7, 40, 7, 0.25): ((1, 2, 10, 14, 16, 23, 36), 3042),
+}
+
+
+def test_alg2_and_ptas_outputs_pinned_at_moderate_n():
+    solvers = {"alg2": build_solver(ALG2_BASES["alg2_greedy"]),
+               "ptas": build_solver(PTAS_GREEDY)}
+    for (kind, seed, n, k, density), (ids, value) in PINNED_MODERATE_N.items():
+        inst = _seeded_instance(seed, n, k, density)
+        if kind == "ptas":
+            with pytest.warns(UserWarning, match="depth clamped"):
+                sol = solvers[kind].run(inst)
+        else:
+            sol = solvers[kind].run(inst)
+        got = tuple(inst.vertex_id(r) for r in sol.sorted_vertices())
+        assert (got, sol.covered_weight) == (ids, value), (kind, seed)
+
+
 @given(st.integers(1, 12), st.data())
 @settings(max_examples=300, deadline=None)
 def test_lex_order_of_equal_size_masks_is_lowest_differing_id(size, data):
