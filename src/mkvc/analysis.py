@@ -25,6 +25,13 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _rho(x) -> Fraction:
+    rho = _frac(x)
+    if not 0 < rho <= 1:
+        raise MkvcError("rho must lie in (0, 1]")
+    return rho
+
+
 def sqrt_bounds(x) -> tuple:
     """Rational lower/upper bounds of sqrt(x), each within 1/10**40."""
     x = _frac(x)
@@ -39,9 +46,7 @@ def sqrt_bounds(x) -> tuple:
 def improve_ratio(rho) -> Fraction:
     """Guarantee of one amplification pass over a rho-approximate base:
     (rho + (1-rho)**2) / (1 + (1-rho)**2)."""
-    rho = _frac(rho)
-    if not 0 < rho <= 1:
-        raise MkvcError("rho must lie in (0, 1]")
+    rho = _rho(rho)
     u = 1 - rho
     return (rho + u * u) / (1 + u * u)
 
@@ -56,9 +61,7 @@ def improvement_gap(rho) -> Fraction:
 def secondary_bounds(rho) -> tuple:
     """The two other case bounds of the amplification analysis:
     (1+rho)/(3-rho) and (1+3*rho)/(5-rho)."""
-    rho = _frac(rho)
-    if not 0 < rho <= 1:
-        raise MkvcError("rho must lie in (0, 1]")
+    rho = _rho(rho)
     return (1 + rho) / (3 - rho), (1 + 3 * rho) / (5 - rho)
 
 
@@ -74,9 +77,7 @@ def cw_lower_bound(rho, r, c_x) -> Fraction:
     """Lower bound on the worst-subset coverage share implied by a ratio-r
     outcome of the prefix-removal pass: (rho - r + (1-rho)*c_x) / rho.
     May be negative, in which case the bound is vacuous."""
-    rho, r, c_x = _frac(rho), _frac(r), _frac(c_x)
-    if not 0 < rho <= 1:
-        raise MkvcError("rho must lie in (0, 1]")
+    rho, r, c_x = _rho(rho), _frac(r), _frac(c_x)
     if not 0 <= r <= 1 or not 0 <= c_x <= 1:
         raise MkvcError("r and c_x must lie in [0, 1]")
     return (rho - r + (1 - rho) * c_x) / rho
@@ -175,33 +176,27 @@ class SubsetStats:
     alpha: Fraction
 
 
-def _verify_optimal(inst: BipartiteInstance, O, opt=None):
-    """`(refs, opt)` for an optimal set O of at most k and at most 20
-    members; opt is the oracle's value unless passed in."""
-    from .solvers import solve_exact
-
+def _verify_optimal(inst: BipartiteInstance, O, opt):
+    """The refs of O, checked to fit in the budget, to cover exactly the
+    optimum `opt` and to have at most 20 members."""
     refs = frozenset(O)
     if len(refs) > inst.k:
         raise MkvcError("candidate optimal set larger than the budget")
-    value = covered_weight(inst, refs)
-    if opt is None:
-        opt = solve_exact(inst).covered_weight
-    if value != opt:
+    if covered_weight(inst, refs) != opt:
         raise MkvcError("set is not optimal for this instance")
     if len(refs) > 20:
         raise MkvcError("optimal set too large for subset enumeration")
-    return refs, opt
+    return refs
 
 
-def subset_stats(inst: BipartiteInstance, O, x_size: int,
-                 opt=None) -> SubsetStats:
+def subset_stats(inst: BipartiteInstance, O, x_size: int, opt) -> SubsetStats:
     """Best and worst coverage shares over all x_size-subsets of the optimal
     set O, plus the left class's total coverage share.
 
-    O is re-verified against the exhaustive oracle unless its value is
-    passed in.  Enumeration is capped at |O| <= 20.
+    `opt` is the instance's optimum, which O must cover exactly.
+    Enumeration is capped at |O| <= 20.
     """
-    refs, opt = _verify_optimal(inst, O, opt)
+    refs = _verify_optimal(inst, O, opt)
     if not 0 <= x_size <= len(refs):
         raise MkvcError("x_size out of range")
     if opt == 0:
@@ -211,13 +206,12 @@ def subset_stats(inst: BipartiteInstance, O, x_size: int,
     best_v = worst_v = None
     best_s = worst_s = frozenset()
     for comb in combinations(ordered, x_size):
-        v = inst.mask_weight(inst.cover_mask_of(comb))
+        v = covered_weight(inst, comb)
         if best_v is None or v > best_v:
             best_v, best_s = v, frozenset(comb)
         if worst_v is None or v < worst_v:
             worst_v, worst_s = v, frozenset(comb)
-    left_cov = inst.mask_weight(inst.cover_mask_of(
-        r for r in refs if r.side == Side.LEFT))
+    left_cov = covered_weight(inst, (r for r in refs if r.side == Side.LEFT))
     return SubsetStats(
         opt_value=opt, x_size=x_size,
         best_subset=best_s, worst_subset=worst_s,
@@ -226,7 +220,7 @@ def subset_stats(inst: BipartiteInstance, O, x_size: int,
     )
 
 
-def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
+def prop1_sweep(inst: BipartiteInstance, O, opt) -> bool:
     """Check the remaining-optimum identity for every subset X of an
     optimal set O.
 
@@ -246,11 +240,11 @@ def prop1_sweep(inst: BipartiteInstance, O, opt=None) -> bool:
     Subsets are bitmasks x over the members of O in sorted order.  The
     edge cover of every x is built once by the low-bit recurrence
     cov[x] = cov[x ^ low] | cover(member low) and valued once, and the
-    complement O \\ X is the entry at full ^ x.  O is re-verified against
-    the exhaustive oracle unless its value is passed in.  Enumeration is
-    capped at |O| <= 20, checked before the tables are built.  Used by the
+    complement O \\ X is the entry at full ^ x.  `opt` is the instance's
+    optimum, which O must cover exactly.  Enumeration is capped at
+    |O| <= 20, checked before the tables are built.  Used by the
     verification harness."""
-    refs, opt = _verify_optimal(inst, O, opt)
+    refs = _verify_optimal(inst, O, opt)
     masks = [inst.cover_mask_of([r]) for r in sorted(refs)]
     full = (1 << len(masks)) - 1
     cov = [0] * (full + 1)

@@ -42,17 +42,6 @@ def _run_one(instance_id, inst, solver: RatedSolver, opt, err) -> RunRecord:
                      opt=opt, ratio=ratio, wall_time=wall, error=err)
 
 
-def _run_task(instance_id, inst, solvers, oracle, oracle_budget):
-    # one oracle run per instance; its optimum or error goes on every row
-    opt = err = None
-    if oracle:
-        try:
-            opt = solve_exact(inst, oracle_budget).covered_weight
-        except MkvcError as exc:
-            err = f"oracle: {exc}"
-    return [_run_one(instance_id, inst, s, opt, err) for s in solvers]
-
-
 def run_matrix(instances, solvers, oracle: bool = False,
                oracle_budget: int = ORACLE_BUDGET):
     """Run every solver on every (instance_id, instance) pair.
@@ -62,8 +51,16 @@ def run_matrix(instances, solvers, oracle: bool = False,
     per-row error and the run continues.
     """
     solvers = list(solvers)
-    records = [rec for iid, inst in instances
-               for rec in _run_task(iid, inst, solvers, oracle, oracle_budget)]
+    records = []
+    for iid, inst in instances:
+        # one oracle run per instance; its optimum or error goes on every row
+        opt = err = None
+        if oracle:
+            try:
+                opt = solve_exact(inst, oracle_budget).covered_weight
+            except MkvcError as exc:
+                err = f"oracle: {exc}"
+        records += [_run_one(iid, inst, s, opt, err) for s in solvers]
     records.sort(key=lambda r: (r.instance_id, r.solver))
     return records
 

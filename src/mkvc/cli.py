@@ -25,6 +25,10 @@ from .verify import run_verification
 
 USAGE_EXIT = 64
 
+# the defaults of solve's solver options, which bench's solvers also take
+_SOLVER_DEFAULTS = dict(base="greedy", c=3, x_size=0, side=Side.LEFT,
+                       epsilon=Fraction(1, 10), max_depth=2)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -81,16 +85,15 @@ def _build_parser() -> _Parser:
     solve.add_argument("instance")
     solve.add_argument("--algorithm", required=True,
                        choices=[k.value for k in SolverKind])
-    solve.add_argument("--base", default="greedy",
-                       choices=[k.value for k in BASE_KINDS])
-    solve.add_argument("--c", type=int, default=3)
-    solve.add_argument("--x-size", type=int, default=0)
-    solve.add_argument("--side", type=_side, default=Side.LEFT)
-    solve.add_argument("--epsilon", type=_fraction, default=Fraction(1, 10))
-    solve.add_argument("--max-depth", type=int, default=2)
+    solve.add_argument("--base", choices=[k.value for k in BASE_KINDS])
+    solve.add_argument("--c", type=int)
+    solve.add_argument("--x-size", type=int)
+    solve.add_argument("--side", type=_side)
+    solve.add_argument("--epsilon", type=_fraction)
+    solve.add_argument("--max-depth", type=int)
     solve.add_argument("--scale-ell", type=int, default=None)
     solve.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)
-    solve.set_defaults(run=_cmd_solve)
+    solve.set_defaults(run=_cmd_solve, **_SOLVER_DEFAULTS)
 
     bench = sub.add_parser("bench", help="run solvers over a directory")
     bench.add_argument("directory")
@@ -99,9 +102,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--solvers", type=_solver_names, default="greedy,alg2",
                        help="comma-separated solver names")
     bench.add_argument("--output", "-o", default=None)
-    # bench's solvers take solve's defaults, apart from --oracle-budget
-    bench.set_defaults(run=_cmd_bench, base="greedy", c=3, x_size=0,
-                       side=Side.LEFT, epsilon=Fraction(1, 10), max_depth=2)
+    bench.set_defaults(run=_cmd_bench, **_SOLVER_DEFAULTS)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
     verify.add_argument("--small-n", type=int, default=6)
@@ -151,7 +152,9 @@ def _cmd_solve(args) -> int:
         print(f"scaled_value {sol.covered_weight}")
         print(f"value {original_value}")
         print(f"vertices {_format_vertices(sol)}")
-        print(f"transfer_guarantee {ratio_transfer(solver.rho, inst.n, args.scale_ell)}")
+        guarantee = ("none" if solver.rho is None
+                     else ratio_transfer(solver.rho, inst.n, args.scale_ell))
+        print(f"transfer_guarantee {guarantee}")
     else:
         sol = solver.run(inst)
         print(f"value {sol.covered_weight}")
@@ -161,7 +164,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     directory = Path(args.directory)
-    files = sorted(directory.glob("*.mkvc")) + sorted(directory.glob("*.txt"))
+    files = sorted(directory.glob("*.mkvc"))
     if not files:
         print(f"error: no instance files in {directory}", file=sys.stderr)
         return 1

@@ -3,8 +3,9 @@
 The sweep enumerates every edge subset of K(n_left,n_right) for all ordered
 shapes with n_left + n_right <= max_n and every budget k < n, running the
 solver battery against the exhaustive oracle and aggregating violation
-counts.  Chunks are independent, so the work parallelizes over processes;
-all aggregation is commutative, making results worker-count independent.
+counts.  The package runs every chunk in one process.  Chunks are
+independent and their aggregates merge commutatively, so a caller that
+spreads them over worker processes gets the same totals.
 """
 
 from __future__ import annotations

@@ -54,6 +54,12 @@ def _check_weight(w):
     return w
 
 
+def _check_budget(k: int, n: int) -> int:
+    if not 0 <= k < n:
+        raise MkvcError(f"budget k={k} out of range [0, {n})")
+    return k
+
+
 class BipartiteInstance:
     """An edge-weighted bipartite graph with a vertex budget k.
 
@@ -75,11 +81,9 @@ class BipartiteInstance:
         if n_left < 0 or n_right < 0:
             raise MkvcError("side sizes must be non-negative")
         n = n_left + n_right
-        if not 0 <= k < n:
-            raise MkvcError(f"budget k={k} out of range [0, {n})")
         self.n_left = n_left
         self.n_right = n_right
-        self.k = k
+        self.k = _check_budget(k, n)
 
         edge_list = []
         seen = set()
@@ -198,8 +202,7 @@ class BipartiteInstance:
 
     def with_budget(self, k: int) -> "BipartiteInstance":
         """Cheap copy sharing all derived structures, with a different k."""
-        if not 0 <= k < self.n:
-            raise MkvcError(f"budget k={k} out of range [0, {self.n})")
+        _check_budget(k, self.n)
         new = object.__new__(BipartiteInstance)
         for slot in BipartiteInstance.__slots__:
             object.__setattr__(new, slot, getattr(self, slot))

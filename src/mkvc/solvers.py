@@ -244,11 +244,11 @@ def _top_side_masked(inst, side: Side, l: int, banned: int, covered: int):
 @dataclass(frozen=True)
 class RatedSolver:
     """A runnable solver together with the approximation guarantee it
-    carries.  `rho` is an exact rational lower bound; for kinds without a
-    universal constant it is the documented nominal value."""
+    carries.  `rho` is an exact rational lower bound, or None when no
+    guarantee is proven (top-side, alg1, and alg2 over such a base)."""
 
     spec: SolverSpec
-    rho: Fraction
+    rho: Fraction | None
     base: "RatedSolver | None" = field(default=None, repr=False)
     # ptas only: the (amplifier chain, schedule, depth) it runs
     chain: tuple | None = field(default=None, repr=False, compare=False)
@@ -303,16 +303,19 @@ def needs_base(kind: SolverKind) -> bool:
     return _KINDS[kind].needs_base
 
 
-def _alg1_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
+def _alg1_rho(spec: SolverSpec, base: RatedSolver) -> None:
     # the upper end, x_size <= k, depends on the instance; solve_alg1 checks it
     if spec.x_size < 0:
         raise MkvcError(f"x_size={spec.x_size} must be >= 0")
-    return base.rho
+    # none, whatever the base: its prefix is a top-side run (see there)
+    return None
 
 
-def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction:
+def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction | None:
     if spec.c <= 2:
         raise MkvcError("c must be > 2")
+    if base.rho is None:
+        return None
     # the least case bound: below 3/4, (1+3rho)/(5-rho) is under improve_ratio
     return min(improve_ratio(base.rho), *secondary_bounds(base.rho))
 
@@ -519,14 +522,16 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     after it; either test then holds for every extension of C too, so
     those are skipped with it.  The result is that of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
-    secondary_bounds(base.rho).
+    secondary_bounds(base.rho); None over a base without a guarantee.
     """
     return _mask_solution(inst, *_alg2_masked(inst, c, base, 0, 0, inst.k)[:2])
 
 
-def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int = 3):
+def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int):
     if epsilon is None:
         raise MkvcError("ptas needs epsilon")
+    if base.rho is None:
+        raise MkvcError(f"ptas base {base.label()} has no proven guarantee")
     eps = Fraction(epsilon)
     # an exact base already meets any target, so depth 0 is the one case
     # where epsilon has no admissible range at all
@@ -603,12 +608,9 @@ def solve_semiregular_exact(inst: BipartiteInstance) -> CoverSolution:
     d_left = left_deg.pop() if left_deg else 0
     d_right = right_deg.pop() if right_deg else 0
     side = Side.LEFT if d_left >= d_right else Side.RIGHT
-    size = inst.side_size(side)
-    offset = 0 if side == Side.LEFT else inst.n_left
-    ids = range(offset, offset + min(inst.k, size))
-    vm, cover = _pad_mask(inst, sum(1 << v for v in ids), 0, inst.k,
-                          inst.cover_mask(ids))
-    return _mask_solution(inst, vm, inst.mask_weight(cover))
+    # the side's gains are all equal, so its top block is its lowest ids
+    vm, w, em = _top_block(inst, side, inst.k, _gains(inst, 0, 0))
+    return _mask_solution(inst, _pad_mask(inst, vm, 0, inst.k, em)[0], w)
 
 
 def guess_split_runner(inst: BipartiteInstance, inner) -> CoverSolution:
@@ -636,7 +638,7 @@ class _Kind(NamedTuple):
     the one that runs.  A kind without a masked run cannot be a base."""
 
     label: Callable         # (spec) -> str
-    rho: Callable | None    # (spec, base RatedSolver or None) -> Fraction
+    rho: Callable | None    # (spec, base or None) -> Fraction or None
     needs_base: bool
     run: Callable           # (solver, inst) -> CoverSolution
     # (solver, inst, banned, covered, budget, floor)
@@ -657,10 +659,9 @@ _KINDS = {
             _greedy_masked(inst, banned, covered, budget))),
     SolverKind.TOP_SIDE: _Kind(
         label=lambda spec: f"topside[{_side_tag(spec.side)}]",
-        # a single-side top-k run only bounds the optimum share of that
-        # side; the 1/2 floor presumes both sides are pooled (see
-        # guess_split_runner)
-        rho=lambda spec, base: Fraction(1, 2),
+        # none: one side's top k cover 1/5 of opt on the 5+1 star (see the
+        # tests); pooling both sides, as guess_split_runner does, earns 1/2
+        rho=lambda spec, base: None,
         needs_base=False,
         run=lambda s, inst: solve_top_side(inst, s.spec.side),
         masked=lambda s, inst, banned, covered, budget, floor: (

@@ -10,9 +10,9 @@ criteria 4-6 call `check_ratio_formulas`, `check_schedule` and
 
 Criteria 1-3 and 7 share two session-scoped sweeps: the exhaustive battery
 over every unweighted bipartite graph with n <= 8 (every budget k < n) and
-1000 seeded random weighted instances with n <= 12.  Both parallelize over
-processes (MKVC_SWEEP_JOBS overrides the worker count) and write a progress
-line to stderr about every tenth of their chunks.  Run with
+1000 seeded random weighted instances with n <= 12.  Both run their chunks
+on a process pool with one worker per core and write a progress line to
+stderr about every tenth of their chunks.  Run with
 `pytest -s tests/test_acceptance.py` to see every line.
 """
 
@@ -40,7 +40,7 @@ from mkvc.verify import (
     format_line, run_verification, status_line, sweep_lines,
 )
 
-WORKERS = int(os.environ.get("MKVC_SWEEP_JOBS", str(os.cpu_count() or 1)))
+WORKERS = os.cpu_count() or 1
 
 
 def report(criterion: int, lines: list):
@@ -64,14 +64,10 @@ def _pool_run(worker, tasks):
                   f"{time.perf_counter() - t0:.0f}s", file=sys.stderr,
                   flush=True)
 
-    if WORKERS > 1:
-        with multiprocessing.Pool(WORKERS) as pool:
-            parts = pool.imap_unordered(worker, tasks, chunksize=1)
-            for done, part in enumerate(parts, 1):
-                merge(done, part)
-    else:
-        for done, task in enumerate(tasks, 1):
-            merge(done, worker(task))
+    with multiprocessing.Pool(WORKERS) as pool:
+        parts = pool.imap_unordered(worker, tasks, chunksize=1)
+        for done, part in enumerate(parts, 1):
+            merge(done, part)
     agg["elapsed"] = time.perf_counter() - t0
     return agg
 

@@ -136,23 +136,24 @@ def test_fixed_point_inversion_accuracy():
 
 def test_subset_stats_k22_symmetry(k22):
     opt = solve_exact(k22)
-    stats = subset_stats(k22, opt.vertices, 1)
+    stats = subset_stats(k22, opt.vertices, 1, opt.covered_weight)
     assert stats.c_best == stats.c_worst == Fraction(1, 2)
     assert stats.opt_value == 4
 
 
 def test_subset_stats_extremes(k22):
     opt = solve_exact(k22)
-    zero = subset_stats(k22, opt.vertices, 0)
+    zero = subset_stats(k22, opt.vertices, 0, opt.covered_weight)
     assert zero.c_best == zero.c_worst == 0
-    full = subset_stats(k22, opt.vertices, len(opt.vertices))
+    full = subset_stats(k22, opt.vertices, len(opt.vertices),
+                        opt.covered_weight)
     assert full.c_best == full.c_worst == 1
 
 
 def test_subset_stats_alpha_is_left_share():
     inst = BipartiteInstance(2, 2, [(0, 0, 3), (1, 1, 5)], 2)
     opt = solve_exact(inst)
-    stats = subset_stats(inst, opt.vertices, 1)
+    stats = subset_stats(inst, opt.vertices, 1, opt.covered_weight)
     assert stats.alpha == 1  # lexicographically first optimum is both lefts
     assert stats.c_best == Fraction(5, 8)
     assert stats.c_worst == Fraction(3, 8)
@@ -160,13 +161,13 @@ def test_subset_stats_alpha_is_left_share():
 
 def test_subset_stats_rejects_non_optimal(k22):
     with pytest.raises(MkvcError, match="not optimal"):
-        subset_stats(k22, {L(0), R(0)}, 1)
+        subset_stats(k22, {L(0), R(0)}, 1, solve_exact(k22).covered_weight)
 
 
 def test_subset_stats_x_size_range(k22):
     opt = solve_exact(k22)
     with pytest.raises(MkvcError, match="x_size"):
-        subset_stats(k22, opt.vertices, 3)
+        subset_stats(k22, opt.vertices, 3, opt.covered_weight)
 
 
 # -- remaining-optimum check -------------------------------------------------
@@ -174,9 +175,9 @@ def test_subset_stats_x_size_range(k22):
 def test_prop1_empty_subset(k22):
     # an empty O is optimal only when nothing can be covered; then X = {} is
     # the one subset checked
-    assert prop1_sweep(BipartiteInstance(2, 2, [], 1), frozenset())
+    assert prop1_sweep(BipartiteInstance(2, 2, [], 1), frozenset(), 0)
     opt = solve_exact(k22)
-    assert prop1_sweep(k22, opt.vertices)
+    assert prop1_sweep(k22, opt.vertices, opt.covered_weight)
 
 
 def test_prop1_k22_half(k22):
@@ -189,8 +190,8 @@ def test_prop1_skewed_private_weights():
     # the heavy member privately holds far more than the worst share; the
     # inequality and partition forms must still hold for every X
     inst = BipartiteInstance(2, 2, [(0, 0, 10), (1, 1, 1)], 2)
-    o = solve_exact(inst).vertices
-    assert prop1_sweep(inst, o)
+    o = solve_exact(inst)
+    assert prop1_sweep(inst, o.vertices, o.covered_weight)
 
 
 def test_prop1_sweep_rejects_more_than_20_members():
@@ -208,10 +209,10 @@ def test_prop1_sweep_small_instances():
         assert prop1_sweep(inst, sol.vertices, sol.covered_weight)
 
 
-def _combo_prop1(inst, O, opt=None) -> bool:
+def _combo_prop1(inst, O, opt) -> bool:
     """Reference for prop1_sweep: the same three checks, with every subset
     of each size enumerated by `combinations` and every cover rebuilt."""
-    refs, opt = _verify_optimal(inst, O, opt)
+    refs = _verify_optimal(inst, O, opt)
     ordered = sorted(refs)
     cov_all = inst.cover_mask_of(refs)
     if inst.mask_weight(cov_all) != opt:
@@ -270,19 +271,19 @@ def prop1_instances(draw):
 def test_prop1_subset_dp_matches_combinations(data):
     inst = data.draw(prop1_instances())
     sol = solve_exact(inst)
-    for opt in (None, sol.covered_weight):
-        assert prop1_sweep(inst, sol.vertices, opt) is True
-        assert _combo_prop1(inst, sol.vertices, opt) is True
+    opt = sol.covered_weight
+    assert prop1_sweep(inst, sol.vertices, opt) is True
+    assert _combo_prop1(inst, sol.vertices, opt) is True
 
     refs = inst.all_refs()
     other = data.draw(st.sets(st.sampled_from(refs), max_size=inst.k))
-    if covered_weight(inst, other) < sol.covered_weight:
+    if covered_weight(inst, other) < opt:
         for check in (prop1_sweep, _combo_prop1):
             with pytest.raises(MkvcError, match="not optimal"):
-                check(inst, other)
+                check(inst, other, opt)
     # k < n, so some vertex lies outside O
     bigger = set(sol.vertices) | {data.draw(st.sampled_from(
         [r for r in refs if r not in sol.vertices]))}
     for check in (prop1_sweep, _combo_prop1):
         with pytest.raises(MkvcError, match="larger than the budget"):
-            check(inst, bigger)
+            check(inst, bigger, opt)

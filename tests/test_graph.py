@@ -41,6 +41,17 @@ def test_weights_must_be_exact_and_nonnegative():
     assert inst.edges[0][2] == Fraction(3, 4)
 
 
+def test_side_sizes_must_be_non_negative():
+    with pytest.raises(MkvcError, match="side sizes must be non-negative"):
+        BipartiteInstance(-1, 2, [], 0)
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_with_budget_range_checked(k22, k):
+    with pytest.raises(MkvcError, match=f"budget k={k} out of range"):
+        k22.with_budget(k)
+
+
 def test_with_budget_shares_topology(k22):
     other = k22.with_budget(1)
     assert other.k == 1 and other.edges == k22.edges and k22.k == 2

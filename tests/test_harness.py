@@ -354,6 +354,26 @@ def test_cli_ptas_transfer_guarantee_is_the_executed_chains(tmp_path, capsys,
     assert fields["transfer_guarantee"] != "211/240"
 
 
+@pytest.mark.parametrize("algorithm", [
+    ["topside"], ["alg1", "--x-size", "1"], ["alg2", "--base", "topside"]],
+    ids=["topside", "alg1", "alg2-topside"])
+def test_cli_scaled_solve_without_a_guarantee_prints_none(tmp_path, capsys,
+                                                          algorithm):
+    path = _write_k22(tmp_path)
+    assert main(["solve", str(path), "--algorithm", *algorithm,
+                 "--scale-ell", "3"]) == 0
+    fields = dict(line.split(" ", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    assert fields["transfer_guarantee"] == "none"
+
+
+def test_cli_ptas_over_topside_exits_one(tmp_path, capsys):
+    path = _write_k22(tmp_path)
+    assert main(["solve", str(path), "--algorithm", "ptas",
+                 "--base", "topside"]) == 1
+    assert "proven guarantee" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:depth clamped")
 @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
 def test_cli_solve_every_algorithm(tmp_path, capsys, kind):
@@ -447,6 +467,25 @@ def test_cli_bench_writes_csv(tmp_path):
     assert len(lines) == 1 + 4 + 4
 
 
+def test_cli_bench_reads_only_mkvc_files(tmp_path, capsys):
+    # a .txt beside a .mkvc of the same stem would give a second `k22` row
+    _write_k22(tmp_path)
+    _write_k22(tmp_path, "k22.txt", k=1)
+    assert main(["bench", str(tmp_path), "--solvers", "greedy"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [
+        ["k22", "greedy", "4"], ["summary/min", "greedy", ""],
+        ["summary/mean", "greedy", ""]]
+
+
+@pytest.mark.parametrize("names", [[], ["k22.txt"]], ids=["empty", "txt"])
+def test_cli_bench_without_instance_files_exits_one(tmp_path, capsys, names):
+    for name in names:
+        _write_k22(tmp_path, name)
+    assert main(["bench", str(tmp_path)]) == 1
+    assert "no instance files" in capsys.readouterr().err
+
+
 def test_cli_bench_unknown_solver_is_a_usage_error(tmp_path, capsys):
     _write_k22(tmp_path)
     assert main(["bench", str(tmp_path), "--solvers", "greedy,foo"]) == 64
@@ -479,6 +518,19 @@ def test_cli_gen_bad_weight_range_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "f.mkvc"
     assert main(["gen", *argv, "-o", str(out)]) == 1
     assert "weight_min" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "0"], "out of range"),
+    (["--k", "8"], "out of range"),
+    (["--kind", "semiregular", "--n-left", "2", "--n-right", "1",
+      "--d-left", "2", "--d-right", "4"], "degree exceeds far side"),
+], ids=["k-0", "k-n", "semiregular-degree"])
+def test_cli_gen_bad_shape_exits_one(tmp_path, capsys, argv, message):
+    out = tmp_path / "f.mkvc"
+    assert main(["gen", *argv, "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

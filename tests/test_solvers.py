@@ -866,6 +866,28 @@ def test_build_solver_rhos():
     assert build_solver(SolverSpec(SolverKind.PTAS,
                                    base=SolverSpec(SolverKind.EXACT),
                                    epsilon=Fraction(1, 10))).rho == 1
+    # no proven guarantee: see test_star_defeats_topside_and_alg1
+    top = SolverSpec(SolverKind.TOP_SIDE)
+    assert build_solver(top).rho is None
+    for base in (SolverSpec(SolverKind.GREEDY), SolverSpec(SolverKind.EXACT)):
+        assert build_solver(SolverSpec(SolverKind.ALG1, x_size=1,
+                                       base=base)).rho is None
+    assert build_solver(SolverSpec(SolverKind.ALG2, base=top)).rho is None
+
+
+@pytest.mark.parametrize("spec", [
+    SolverSpec(SolverKind.TOP_SIDE),
+    SolverSpec(SolverKind.ALG1, x_size=1, base=SolverSpec(SolverKind.GREEDY)),
+], ids=["topside", "alg1"])
+def test_star_defeats_topside_and_alg1(spec):
+    # L0-L4 joined to R0 and L5 to R1, k = 1: R0 covers 5, but either run
+    # takes L0 and covers 1/5 of that, below 1/2 and below greedy's rho
+    star = BipartiteInstance(6, 2, [(i, 0, 1) for i in range(5)]
+                             + [(5, 1, 1)], 1)
+    solver = build_solver(spec)
+    assert solve_exact(star).covered_weight == 5
+    assert solver.run(star).vertices == {L(0)}
+    assert solver.rho is None
 
 
 @pytest.mark.parametrize("spec,match", [
