@@ -99,10 +99,13 @@ def inverse_improve(epsilon) -> Fraction:
 class Schedule:
     """Amplification levels needed to lift rho0 to at least 1-epsilon.
 
-    levels[i] is a proven lower bound (rounded down at 10**-40) on the
-    guarantee after i+1 passes; iterations is the closed-form worst-case
-    pass count, rounded up.  The actual convergence count len(levels) never
-    exceeds iterations where the closed form is defined (epsilon < 1/2).
+    levels[i] is improve_ratio iterated i+1 times from rho0, rounded down
+    at 10**-40.  It bounds the guarantee after i+1 passes only where the
+    amplified ratio is the least case bound, on [3/4, 1], so only from
+    rho0 >= 3/4; below that, a pass proves just the least case bound.
+    iterations is the closed-form worst-case pass count, rounded up.  The
+    actual convergence count len(levels) never exceeds iterations where
+    the closed form is defined (epsilon < 1/2).
     """
 
     rho0: Fraction
@@ -126,7 +129,8 @@ def ptas_schedule(rho0, epsilon) -> Schedule:
     """Build the level schedule from rho0 for a target of 1-epsilon.
 
     Levels iterate improve_ratio with directed downward rounding, so each
-    stored level is a valid guarantee.  The closed-form pass bound
+    stored level lies at or below the exact iterate; see Schedule for where
+    that iterate is a proven guarantee.  The closed-form pass bound
     2*eps*(1-eps-rho0) / (1 - 2*eps**2 - sqrt(1-4*eps**2)) is evaluated
     with an upper-rounded square root and then ceiled; for epsilon >= 1/2
     the expression is undefined and the convergence count is reported as

@@ -17,8 +17,8 @@ from .analysis import prop1_sweep
 from .generate import GenKind, GenSpec, generate
 from .graph import BipartiteInstance, Side, covered_weight
 from .solvers import (
-    greedy_solver, solve_alg1, solve_alg2, solve_exact, solve_greedy,
-    solve_top_side,
+    SolverKind, SolverSpec, build_solver, greedy_solver, solve_alg1,
+    solve_alg2, solve_exact, solve_greedy, solve_top_side,
 )
 
 GREEDY_FLOOR = (63, 100)           # safe under-approximation of 1 - 1/e
@@ -30,11 +30,27 @@ SWEEP_CHECKS = {
     "feasibility": "every solver returns its full budget",
     "self_consistency": "reported values match recomputation",
     "dominance": "no solver exceeds the oracle",
+    "rho": "every solver with a guarantee reaches rho of optimum",
     "greedy_floor": "greedy value >= 63/100 of optimum",
     "greedy_kn": "greedy value >= (k/n) of optimum",
     "alg2_vs_greedy": "amplifier never below greedy",
     "prop1": "remaining-optimum identity sweep",
 }
+
+
+_GREEDY = SolverSpec(SolverKind.GREEDY)
+# the rho of each battery solver that advertises one, as (numerator,
+# denominator), read once per process.  alg1's rho does not depend on its
+# x_size, and the oracle is what the others are checked against
+BATTERY_RHOS = {
+    name: (rho.numerator, rho.denominator)
+    for name, spec in (
+        ("greedy", _GREEDY),
+        ("topsideL", SolverSpec(SolverKind.TOP_SIDE, side=Side.LEFT)),
+        ("topsideR", SolverSpec(SolverKind.TOP_SIDE, side=Side.RIGHT)),
+        ("alg1", SolverSpec(SolverKind.ALG1, base=_GREEDY)),
+        ("alg2", SolverSpec(SolverKind.ALG2, base=_GREEDY)))
+    if (rho := build_solver(spec).rho) is not None}
 
 
 def ordered_shapes(max_n: int):
@@ -110,6 +126,10 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
             _note(agg, "self_consistency", f"{tag}: {name} value mismatch")
         if sol.covered_weight > opt:
             _note(agg, "dominance", f"{tag}: {name} {sol.covered_weight} > opt {opt}")
+        rho = BATTERY_RHOS.get(name)
+        if rho is not None and sol.covered_weight * rho[1] < rho[0] * opt:
+            _note(agg, "rho", f"{tag}: {name} {sol.covered_weight} "
+                  f"< {rho[0]}/{rho[1]} of opt {opt}")
 
     if 100 * g.covered_weight < GREEDY_FLOOR[0] * opt:
         _note(agg, "greedy_floor", f"{tag}: greedy {g.covered_weight} vs opt {opt}")

@@ -266,12 +266,10 @@ def residual(inst: BipartiteInstance, vertices: Iterable[VertexRef],
 
     The surviving vertices are renumbered compactly per side, preserving
     relative order, so index-based tie-breaking agrees between a residual
-    run and a masked run on the parent.
+    run and a masked run on the parent.  The residual instance checks that
+    new_k lies in [0, remaining vertices).
     """
     gone = {inst.vertex_id(r) for r in vertices}
-    remaining = inst.n - len(gone)
-    if not 0 <= new_k < remaining:
-        raise MkvcError(f"residual budget {new_k} out of range [0, {remaining})")
     kept_left = tuple(i for i in range(inst.n_left) if i not in gone)
     kept_right = tuple(j for j in range(inst.n_right)
                        if inst.n_left + j not in gone)

@@ -13,7 +13,7 @@ parent instance with a bitmask of banned vertices and a bitmask of already
 covered edges, so no solver builds a residual instance.  Each algorithm has
 one masked implementation, and its public `solve_*` function is that run
 with nothing banned or covered at budget k, valued by the weight the run
-returns, not again; only ptas (which reports its schedule) and the
+returns, not again; only ptas (which reports its depth) and the
 semi-regular closed form have public paths of their own.  A masked run also
 takes a trailing `floor` (default -1): the caller will discard any result
 strictly below it.  Only alg2 reads it, to cut small sets that cannot reach
@@ -44,7 +44,7 @@ from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .analysis import improve_ratio, ptas_schedule, secondary_bounds
+from .analysis import improve_ratio, secondary_bounds
 from .errors import MkvcError
 from .graph import BipartiteInstance, CoverSolution, Side
 
@@ -250,7 +250,7 @@ class RatedSolver:
     spec: SolverSpec
     rho: Fraction | None
     base: "RatedSolver | None" = field(default=None, repr=False)
-    # ptas only: the (amplifier chain, schedule, depth) it runs
+    # ptas only: the (outermost amplifier, depth) of the chain it runs
     chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def label(self) -> str:
@@ -533,33 +533,30 @@ def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int):
     if base.rho is None:
         raise MkvcError(f"ptas base {base.label()} has no proven guarantee")
     eps = Fraction(epsilon)
-    # an exact base already meets any target, so depth 0 is the one case
-    # where epsilon has no admissible range at all
-    if base.rho < 1 and not 0 < eps < 1 - base.rho:
-        raise MkvcError("epsilon out of admissible range")
-    if base.rho == 1 and not 0 < eps < 1:
+    # epsilon must leave something to prove, except over an exact base,
+    # where depth 0 already meets any target
+    if not 0 < eps < (1 - base.rho or 1):
         raise MkvcError("epsilon out of admissible range")
     if max_depth < 1:
         raise MkvcError("max_depth must be >= 1")
-    schedule = ptas_schedule(base.rho, eps)
-    depth = min(schedule.convergence_count, max_depth)
-    solver = base
-    for _ in range(depth):
+    solver, depth = base, 0
+    while solver.rho < 1 - eps and depth < max_depth:
         solver = _rated(SolverSpec(SolverKind.ALG2, base=solver.spec, c=c),
                         solver)
-    return solver, schedule, depth
+        depth += 1
+    return solver, depth
 
 
 def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
                max_depth: int, c: int = 3) -> CoverSolution:
     """Bootstrapped scheme: compose the amplifier on top of itself, starting
-    from the base solver, until the scheduled guarantee reaches 1-epsilon or
-    the depth cap is hit.
+    from the base solver, until the guarantee the chain carries (each
+    level's least case bound) reaches 1-epsilon or the depth cap is hit.
 
     Each level multiplies the running time by roughly the amplifier's own
-    cost, so max_depth (default 2) is the practical knob; when the executed
-    depth falls short of the target the achieved guarantee is reported in
-    the solution metadata and a warning is emitted.
+    cost, so max_depth (default 2) is the practical knob; when the cap
+    stops the chain short of the target the achieved guarantee is reported
+    in the solution metadata and a warning is emitted.
     """
     return _run_chain(inst, epsilon, _ptas_chain(epsilon, base, max_depth, c),
                       stacklevel=3)
@@ -567,12 +564,10 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
 
 def _run_chain(inst, epsilon, chain, stacklevel: int) -> CoverSolution:
     # `stacklevel` names the caller of the public entry point in a warning
-    solver, schedule, depth = chain
+    solver, depth = chain
     target = 1 - Fraction(epsilon)
     meta = {
         "executed_depth": depth,
-        "scheduled_depth": schedule.convergence_count,
-        "iteration_bound": schedule.iterations,
         "target_ratio": target,
         "achieved_ratio_bound": solver.rho,
     }

@@ -93,8 +93,8 @@ def _combined(*aggs):
 
 def _ptas_failures():
     """The bootstrapped scheme is depth-limited by construction, so its
-    feasibility/dominance run uses the exhaustive n <= 5 graphs plus a
-    random sub-corpus at depth 2."""
+    feasibility, dominance and rho run uses the exhaustive n <= 5 graphs
+    plus a random sub-corpus at depth 2."""
     cases = [(f"u{nl}x{nr}/g{gmask}/k{k}",
               unweighted_instance(nl, nr, gmask, k))
              for nl, nr in ordered_shapes(5)
@@ -102,13 +102,18 @@ def _ptas_failures():
     for iid, inst in random_weighted_corpus(30, seed=77):
         cases.append((iid, inst.with_budget(min(inst.k, 3)) if inst.n > 9
                       else inst))
+    rho = build_solver(SolverSpec(
+        SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+        epsilon=Fraction(1, 10), max_depth=2)).rho
+    num, den = rho.numerator, rho.denominator
     bad = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for iid, inst in cases:
             sol = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 2)
-            if (len(sol.vertices) != inst.k or sol.covered_weight
-                    > solve_exact(inst).covered_weight):
+            opt = solve_exact(inst).covered_weight
+            if (len(sol.vertices) != inst.k or sol.covered_weight > opt
+                    or sol.covered_weight * den < num * opt):
                 bad.append(iid)
     return len(cases), bad
 
@@ -120,9 +125,11 @@ def test_criterion_1_feasibility_and_oracle_dominance(exhaustive_sweep,
     cases, ptas_bad = _ptas_failures()
     elapsed = (exhaustive_sweep["elapsed"] + random_sweep["elapsed"]
                + time.perf_counter() - t0)
-    lines = sweep_lines(agg, ("feasibility", "self_consistency", "dominance"))
+    lines = sweep_lines(agg, ("feasibility", "self_consistency", "dominance",
+                              "rho"))
     lines.append(status_line(
-        not ptas_bad, "ptas at depth 2 feasible and within the oracle",
+        not ptas_bad, "ptas at depth 2 feasible, within the oracle and at "
+        "least rho of it",
         f"{cases} (instance, k) pairs"
         + "".join(f"; {iid}" for iid in ptas_bad[:3])))
     timing = f"{elapsed:.0f}s wall on {WORKERS} workers"

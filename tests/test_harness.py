@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,6 +368,16 @@ def test_cli_scaled_solve_without_a_guarantee_prints_none(tmp_path, capsys,
     assert fields["transfer_guarantee"] == "none"
 
 
+def test_cli_ptas_at_a_tiny_epsilon_runs_at_the_cap(tmp_path, capsys):
+    path = _write_k22(tmp_path)
+    t0 = time.perf_counter()
+    with pytest.warns(UserWarning, match="depth clamped to 2"):
+        code = main(["solve", str(path), "--algorithm", "ptas",
+                     "--epsilon", "1/10000"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and "value 4" in capsys.readouterr().out
+
+
 def test_cli_ptas_over_topside_exits_one(tmp_path, capsys):
     path = _write_k22(tmp_path)
     assert main(["solve", str(path), "--algorithm", "ptas",
@@ -501,6 +512,22 @@ def test_cli_bench_oracle_infeasible_exits_one(tmp_path, capsys):
                  "--solvers", "greedy"])
     assert code == 1
     assert "oracle" in capsys.readouterr().err
+
+
+def test_sweep_checks_every_battery_solver_with_a_rho(monkeypatch):
+    import mkvc.corpus as corpus
+    assert corpus.BATTERY_RHOS == {
+        "greedy": (GREEDY_RHO.numerator, GREEDY_RHO.denominator),
+        "alg2": (72409, 109197)}
+    # greedy takes L0 and then L1 for 3 of the 4 that R0 and R1 cover, so
+    # a claimed rho of 1 is counted against it and against nothing else
+    inst = BipartiteInstance(3, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1),
+                                    (2, 1, 1)], 2)
+    monkeypatch.setitem(corpus.BATTERY_RHOS, "greedy", (1, 1))
+    agg = corpus.new_aggregate()
+    corpus.check_instance(inst, agg, "t")
+    assert agg["rho"] == 1
+    assert agg["examples"] == ["t: greedy 3 < 1/1 of opt 4"]
 
 
 def test_cli_verify_passes(capsys):

@@ -1,4 +1,6 @@
 import random
+import time
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -256,16 +258,21 @@ def test_ptas_warns_when_depth_clamped(k22):
         sol = solve_ptas(k22, Fraction(1, 100), greedy_solver(), 1)
     assert sol.meta["achieved_ratio_bound"] < sol.meta["target_ratio"]
     assert sol.meta["executed_depth"] == 1
-    assert sol.meta["scheduled_depth"] > 1
 
 
 def test_ptas_warns_when_the_proven_chain_falls_short(k22):
-    # improve_ratio lifts greedy past 2/3 in one pass, so eps = 1/3 schedules
-    # one level, but that level proves only (1+3rho)/(5-rho) < 2/3
+    # one pass proves only (1+3rho)/(5-rho) < 2/3 over greedy and two
+    # reach it, so eps = 1/3 runs two levels silently at cap 2 and warns
+    # at cap 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        two = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 2)
+    assert two.meta["executed_depth"] == 2
+    assert two.meta["achieved_ratio_bound"] == Fraction(40803, 59197)
+    assert two.meta["achieved_ratio_bound"] >= two.meta["target_ratio"]
     with pytest.warns(UserWarning, match="depth clamped to 1"):
-        sol = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 2)
-    assert sol.meta["scheduled_depth"] == sol.meta["executed_depth"] == 1
-    assert sol.meta["achieved_ratio_bound"] == Fraction(72409, 109197)
+        one = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 1)
+    assert one.meta["achieved_ratio_bound"] == Fraction(72409, 109197)
 
 
 def test_ptas_depth_clamp_warning_names_the_caller(k22):
@@ -278,12 +285,45 @@ def test_ptas_depth_clamp_warning_names_the_caller(k22):
         assert record[0].filename == __file__
 
 
-def test_ptas_metadata_reports_schedule():
+def test_ptas_metadata_reports_the_executed_chain():
     inst = BipartiteInstance(3, 3, [(i, j, 1) for i in range(3) for j in range(3)], 2)
     with pytest.warns(UserWarning):
         sol = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 2)
-    assert sol.meta["iteration_bound"] == 263
-    assert sol.meta["target_ratio"] == Fraction(9, 10)
+    assert sol.meta == {"executed_depth": 2, "target_ratio": Fraction(9, 10),
+                        "achieved_ratio_bound": Fraction(40803, 59197)}
+
+
+def test_ptas_depth_is_the_least_that_proves_the_target():
+    # the least depth whose chain rho reaches 1 - eps, or else the cap
+    for base in (SolverSpec(SolverKind.GREEDY), SolverSpec(SolverKind.EXACT)):
+        rhos = [build_solver(base).rho]
+        for _ in range(4):
+            rhos.append(_least_bound(rhos[-1]))
+        for cap in range(1, 5):
+            for i in range(1, 100):
+                eps = Fraction(i, 100)
+                if eps >= (1 - rhos[0] or 1):
+                    continue
+                want = next((d for d in range(cap + 1)
+                             if rhos[d] >= 1 - eps), cap)
+                solver = build_solver(SolverSpec(
+                    SolverKind.PTAS, base=base, epsilon=eps, max_depth=cap))
+                assert solver.chain[1] == want, (base.kind, cap, eps)
+                assert solver.rho == rhos[want]
+
+
+def test_ptas_at_a_tiny_epsilon_runs_at_the_cap(k22):
+    # the chain stops at the cap however far 1 - eps lies beyond it
+    eps = Fraction(1, 10000)
+    spec = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+                      epsilon=eps)
+    t0 = time.perf_counter()
+    solver = build_solver(spec)
+    with pytest.warns(UserWarning, match="depth clamped to 2"):
+        sol = solve_ptas(k22, eps, greedy_solver(), 2)
+    assert time.perf_counter() - t0 < 1
+    assert solver.chain[1] == sol.meta["executed_depth"] == 2
+    assert sol.covered_weight == 4
 
 
 def test_ptas_epsilon_range_checked(k22):
@@ -295,7 +335,6 @@ def test_ptas_epsilon_range_checked(k22):
 
 def test_ptas_depth_two_dominates_depth_one():
     rng = random.Random(11)
-    import warnings
     for _ in range(6):
         inst = random_instance(rng, max_side=3)
         with warnings.catch_warnings():
@@ -819,12 +858,12 @@ def test_semiregular_is_rejected_as_a_base():
             run()
 
 
-def test_rated_ptas_builds_its_schedule_once(monkeypatch):
+def test_rated_ptas_builds_its_chain_once(monkeypatch):
     import mkvc.solvers
     calls = []
-    schedule = mkvc.solvers.ptas_schedule
-    monkeypatch.setattr(mkvc.solvers, "ptas_schedule",
-                        lambda *a: calls.append(a) or schedule(*a))
+    chain = mkvc.solvers._ptas_chain
+    monkeypatch.setattr(mkvc.solvers, "_ptas_chain",
+                        lambda *a: calls.append(a) or chain(*a))
     solver = build_solver(SolverSpec(SolverKind.PTAS, epsilon=Fraction(1, 5),
                                      base=SolverSpec(SolverKind.GREEDY)))
     inst = BipartiteInstance(3, 3, [(i, j, 1 + i + j) for i in range(3)
@@ -873,6 +912,31 @@ def test_build_solver_rhos():
         assert build_solver(SolverSpec(SolverKind.ALG1, x_size=1,
                                        base=base)).rho is None
     assert build_solver(SolverSpec(SolverKind.ALG2, base=top)).rho is None
+
+
+# every solver with a rho, built once: greedy, exact, alg2 over each rated
+# base, and ptas at eps 1/10 with depth caps 1 and 2
+RATED_SOLVERS = [solver for solver in (
+    build_solver(SolverSpec(SolverKind.GREEDY)),
+    build_solver(SolverSpec(SolverKind.EXACT)),
+    *(build_solver(SolverSpec(SolverKind.ALG2, base=base))
+      for base in ALG2_BASES.values()),
+    *(build_solver(SolverSpec(SolverKind.PTAS, base=SolverSpec(
+        SolverKind.GREEDY), epsilon=Fraction(1, 10), max_depth=depth))
+      for depth in (1, 2))) if solver.rho is not None]
+
+
+@given(weighted_instances(max_side=6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_rated_solver_reaches_its_rho(inst, data):
+    inst = inst.with_budget(data.draw(st.integers(0, inst.n - 1)))
+    opt = solve_exact(inst).covered_weight
+    for solver in RATED_SOLVERS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            value = solver.run(inst).covered_weight
+        rho = solver.rho
+        assert value * rho.denominator >= rho.numerator * opt, solver.label()
 
 
 @pytest.mark.parametrize("spec", [
