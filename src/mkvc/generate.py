@@ -52,13 +52,16 @@ def generate(spec: GenSpec) -> BipartiteInstance:
     UniformRandom draws each possible edge independently (forcing edge (0,0)
     if the draw comes out empty, so weight scaling stays well defined).
     SemiRegular builds an unweighted biregular graph by permuting a circulant
-    layout.  GreedyAdversarial builds a weighted family whose bait vertices
-    drag the greedy away from the one-side optimum.  Complete is the full
-    bipartite graph.
+    layout.  GreedyAdversarial builds a weighted k x 2k family whose bait
+    vertices drag the greedy away from the one-side optimum; any other shape
+    is rejected, not replaced.  Complete is the full bipartite graph.  An
+    edge_prob outside [0, 1] is rejected for every kind.
     """
     if not 0 <= spec.weight_min <= spec.weight_max:
         raise MkvcError(f"weights need 0 <= weight_min={spec.weight_min} "
                         f"<= weight_max={spec.weight_max}")
+    if not 0 <= spec.edge_prob <= 1:  # a NaN fails both comparisons
+        raise MkvcError(f"edge_prob={spec.edge_prob} out of range [0, 1]")
     rng = random.Random(spec.seed)
     n = spec.n_left + spec.n_right
     k = spec.k if spec.k is not None else _default_k(n)
@@ -113,6 +116,9 @@ def _adversarial(rng: random.Random, spec: GenSpec, k: int) -> BipartiteInstance
     """k optimal left vertices with private bundles, plus k bait right
     vertices tuned so the greedy strictly prefers every bait in turn."""
     b = k
+    if (spec.n_left, spec.n_right) != (b, 2 * b):
+        raise MkvcError(f"adversarial family is k x 2k = {b} x {2 * b}, "
+                        f"not {spec.n_left} x {spec.n_right}")
     if b < 2:
         raise MkvcError("adversarial family needs k >= 2")
     v = spec.weight_max * b + rng.randint(0, spec.weight_max)

@@ -29,9 +29,11 @@ weight) and its pick loop (`_greedy_picks`), and the single-side ranking
 (`_top_block`) reads the same gains list and is valued by their sum.
 Gains are weights everywhere; the fill's popcount for uniform weights is
 the only branch on the weight kind.  alg2 fills the gains once per call:
-they bound its small vertex sets, and over a greedy base they seed the
+they order its small vertex sets, and over a greedy base they seed the
 greedy runs, whose traced direct run also yields every reduced-budget run
-and the gains that rank its completions.
+and the gains that rank its completions.  Each small set's parent hands
+down its residual gains and the sum of its top ones, which bound every
+child before the child's own edges are walked.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -427,21 +429,22 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # even the lexicographically first set holding S loses that tie, so
     # a tie that could win on the lex rule still runs.  One depth-first
     # search by entry gain (descending) judges each set once, and a
-    # rejected S prunes its extensions: the prefix sums of that order and
-    # (by submodularity) the tight bound cap every candidate built on
-    # them, each budget-set holding one holds S, and the incumbent only
-    # rises.  The prefix bound falls along the order, so its first failure
-    # also skips every later sibling.  Each node hands its residual gains
-    # and newly covered weight down, so a child walks only its own vertex's
-    # newly covered edges.  S is also cut when its bound is strictly below
-    # `floor`, under which the caller discards the result; the tie rules
-    # still compare with the incumbent alone.  The cut is strict, so a run
-    # whose value reaches the floor is unchanged by it.  A small set's base
-    # run gets max(incumbent, floor) less what S newly covers as its own
-    # floor: a completion below that is discarded here in turn.
+    # rejected S prunes its extensions: gains only shrink as S grows, so
+    # its bound caps every candidate built on it, each budget-set holding
+    # one holds S, and the incumbent only rises.  A node hands down its
+    # residual gains, its newly covered weight and `r`, the sum of its top
+    # budget - |S| - 1 residual gains.  A child S + v is first cut by that
+    # weight plus v's entry gain plus `r`, which is at least the child's
+    # bound and falls along the order: its first failure skips every later
+    # sibling before any of them walks its newly covered edges.  S is also
+    # cut when its bound is strictly below `floor`, under which the caller
+    # discards the result; the tie rules still compare with the incumbent
+    # alone.  The cut is strict, so a run whose value reaches the floor is
+    # unchanged by it.  A small set's base run gets max(incumbent, floor)
+    # less what S newly covers as its own floor: a completion below that
+    # is discarded here in turn.
     order = sorted(allowed, key=lambda v: (-gains[v], v))
     top = [gains[v] for v in order]
-    prefix = [0, *accumulate(top)]
     bits = [1 << v for v in order]
     incs = [inc[v] for v in order]
     reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
@@ -451,20 +454,11 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
         first, _ = _pad_mask(inst, sm, banned, budget, 0)
         return not _lex_less(first, best_vm)
 
-    def grow(pos, sm, cov_s, g_s, ws_s):
-        # the best completion of U = pos + [i] takes its other `rest`
-        # members from the top of the order; those of pos inside that
-        # window are already counted by the prefix sum
-        j = len(pos) + 1
+    def grow(start, j, sm, cov_s, g_s, ws_s, r_s):
+        # the children U = S + order[i], i >= start, have j members each
         rest = budget - j
-        s = 0
-        while s < j - 1 and pos[s] < rest + s:
-            s += 1
-        a = prefix[rest + s]
-        for p in pos[s:]:
-            a += top[p]
-        for i in range(pos[-1] + 1 if pos else 0, len(order)):
-            bound = a + top[i]
+        for i in range(start, len(order)):
+            bound = ws_s + top[i] + r_s
             if bound < best_w or bound < floor:
                 break
             um, cov_u = sm | bits[i], cov_s | incs[i]
@@ -472,10 +466,10 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                 continue
             cm = covered | cov_u
             if rest == 0:
-                offer(um, cm, inst.mask_weight(cov_u & not_cov))
+                offer(um, cm, ws_s + g_s[order[i]])
                 continue
-            # U's residual gains are pos's, less i's own newly covered
-            # edges; pos's members are already -1
+            # U's residual gains are S's, less i's own newly covered
+            # edges; S's members are already -1
             g = g_s[:]
             ws = ws_s
             new = incs[i] & ~cov_s & not_cov
@@ -487,7 +481,9 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                 ws += w
                 new ^= low
             g[order[i]] = -1
-            bound = ws + sum(sorted(g, reverse=True)[:rest])
+            tops = sorted(g, reverse=True)[:rest]
+            r_u = sum(tops)
+            bound = ws + r_u
             if (bound < best_w or bound < floor
                     or bound == best_w and loses_tie(um)):
                 continue
@@ -499,10 +495,10 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                                                 max(best_w, floor) - ws)
             offer(um | rm, cov_r, ws + rw)
             if j < depth:
-                grow(pos + [i], um, cov_u, g, ws)
+                grow(i + 1, j + 1, um, cov_u, g, ws, r_u - tops[-1])
 
     if budget:
-        grow([], 0, 0, gains, 0)
+        grow(0, 1, 0, 0, gains, 0, sum(top[:budget - 1]))
 
     return best_vm, inst.mask_weight(best_cover & not_cov), best_cover
 
@@ -520,7 +516,9 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     gains) is strictly below the best candidate so far, or when C can at
     best tie it and even the lexicographically first k-set holding C sorts
     after it; either test then holds for every extension of C too, so
-    those are skipped with it.  The result is that of the whole pool.
+    those are skipped with it.  C's parent hands down its residual gains
+    and the sum of its top ones, which bound C before C's own edges are
+    walked.  The result is that of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
     secondary_bounds(base.rho); None over a base without a guarantee.
     """

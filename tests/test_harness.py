@@ -74,7 +74,8 @@ def test_rational_weight_generator():
 
 def test_adversarial_family_fools_greedy():
     for k in (2, 3, 4):
-        inst = generate(GenSpec(kind=GenKind.GREEDY_ADVERSARIAL, k=k, seed=k))
+        inst = generate(GenSpec(kind=GenKind.GREEDY_ADVERSARIAL, n_left=k,
+                                n_right=2 * k, k=k, seed=k))
         assert inst.n_left == k and inst.n_right == 2 * k and inst.k == k
         g = solve_greedy(inst).covered_weight
         opt = solve_exact(inst).covered_weight
@@ -83,7 +84,8 @@ def test_adversarial_family_fools_greedy():
 
 def test_adversarial_needs_k_at_least_two():
     with pytest.raises(MkvcError, match="k >= 2"):
-        generate(GenSpec(kind=GenKind.GREEDY_ADVERSARIAL, k=1))
+        generate(GenSpec(kind=GenKind.GREEDY_ADVERSARIAL, n_left=1,
+                         n_right=2, k=1))
 
 
 # -- instance files -------------------------------------------------------------
@@ -553,7 +555,13 @@ def test_cli_gen_bad_weight_range_exits_one(tmp_path, capsys, argv):
     (["--k", "8"], "out of range"),
     (["--kind", "semiregular", "--n-left", "2", "--n-right", "1",
       "--d-left", "2", "--d-right", "4"], "degree exceeds far side"),
-], ids=["k-0", "k-n", "semiregular-degree"])
+    (["--kind", "adversarial", "--n-left", "5", "--n-right", "5", "--k", "3"],
+     "adversarial family is k x 2k = 3 x 6, not 5 x 5"),
+    (["--edge-prob", "2"], "edge_prob=2.0 out of range [0, 1]"),
+    (["--edge-prob", "-0.5"], "edge_prob=-0.5 out of range [0, 1]"),
+    (["--edge-prob", "nan"], "edge_prob=nan out of range [0, 1]"),
+], ids=["k-0", "k-n", "semiregular-degree", "adversarial-shape",
+        "edge-prob-2", "edge-prob-negative", "edge-prob-nan"])
 def test_cli_gen_bad_shape_exits_one(tmp_path, capsys, argv, message):
     out = tmp_path / "f.mkvc"
     assert main(["gen", *argv, "-o", str(out)]) == 1

@@ -191,7 +191,8 @@ def test_alg2_dominates_base():
 
 
 def test_alg2_beats_greedy_on_bait_family():
-    inst = generate(GenSpec(kind=GenKind.GREEDY_ADVERSARIAL, k=3, seed=9))
+    inst = generate(GenSpec(kind=GenKind.GREEDY_ADVERSARIAL, n_left=3,
+                            n_right=6, k=3, seed=9))
     g = solve_greedy(inst).covered_weight
     a = solve_alg2(inst, 3, greedy_solver()).covered_weight
     opt = solve_exact(inst).covered_weight
@@ -807,6 +808,10 @@ PINNED_MODERATE_N = {
     ("alg2", 2, 60, 10, 0.3): ((0, 1, 8, 12, 17, 22, 24, 26, 28, 35), 6756),
     ("alg2", 3, 100, 8, 0.3): ((10, 19, 21, 30, 39, 46, 47, 48), 8745),
     ("alg2", 4, 100, 10, 0.2): ((3, 6, 12, 13, 24, 33, 52, 53, 80, 97), 7449),
+    ("alg2", 8, 200, 10, 0.2):
+        ((2, 9, 10, 22, 60, 137, 142, 159, 173, 181), 14167),
+    ("alg2", 10, 300, 10, 0.2):
+        ((16, 58, 88, 95, 124, 132, 167, 198, 199, 293), 21795),
     ("ptas", 5, 40, 6, 0.3): ((20, 21, 28, 31, 34, 38), 2956),
     ("ptas", 6, 40, 8, 0.3): ((9, 16, 18, 19, 20, 27, 28, 34), 3333),
     ("ptas", 7, 40, 7, 0.25): ((1, 2, 10, 14, 16, 23, 36), 3042),
