@@ -1,6 +1,7 @@
-"""Analytic quantities behind the solvers: optimal-subset coverage shares,
-the single-pass ratio-amplification formula and its case bounds, and the
-iteration schedule of the bootstrapped approximation scheme.
+"""Analytic quantities behind the solvers: the single-pass
+ratio-amplification formula and its case bounds, the iteration schedule of
+the bootstrapped approximation scheme, and the remaining-optimum check over
+the subsets of an optimal set.
 
 Everything is exact rational arithmetic except the square root inside the
 closed-form iteration bound, which is evaluated with directed rounding so
@@ -12,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import MkvcError
-from .graph import BipartiteInstance, Side, covered_weight
+from .graph import BipartiteInstance, covered_weight
 
 _SQRT_SCALE = 10 ** 40
 _MAX_LEVELS = 1_000_000
@@ -71,16 +71,6 @@ def minimum_claim_holds(rho) -> bool:
     r = improve_ratio(rho)
     b1, b2 = secondary_bounds(rho)
     return r <= b1 and r <= b2
-
-
-def cw_lower_bound(rho, r, c_x) -> Fraction:
-    """Lower bound on the worst-subset coverage share implied by a ratio-r
-    outcome of the prefix-removal pass: (rho - r + (1-rho)*c_x) / rho.
-    May be negative, in which case the bound is vacuous."""
-    rho, r, c_x = _rho(rho), _frac(r), _frac(c_x)
-    if not 0 <= r <= 1 or not 0 <= c_x <= 1:
-        raise MkvcError("r and c_x must lie in [0, 1]")
-    return (rho - r + (1 - rho) * c_x) / rho
 
 
 def inverse_improve(epsilon) -> Fraction:
@@ -167,19 +157,6 @@ def ptas_schedule(rho0, epsilon) -> Schedule:
                     iterations=iterations)
 
 
-@dataclass(frozen=True)
-class SubsetStats:
-    """Coverage shares of size-x subsets of a verified optimal set."""
-
-    opt_value: object
-    x_size: int
-    best_subset: frozenset
-    worst_subset: frozenset
-    c_best: Fraction
-    c_worst: Fraction
-    alpha: Fraction
-
-
 def _verify_optimal(inst: BipartiteInstance, O, opt):
     """The refs of O, checked to fit in the budget, to cover exactly the
     optimum `opt` and to have at most 20 members."""
@@ -191,37 +168,6 @@ def _verify_optimal(inst: BipartiteInstance, O, opt):
     if len(refs) > 20:
         raise MkvcError("optimal set too large for subset enumeration")
     return refs
-
-
-def subset_stats(inst: BipartiteInstance, O, x_size: int, opt) -> SubsetStats:
-    """Best and worst coverage shares over all x_size-subsets of the optimal
-    set O, plus the left class's total coverage share.
-
-    `opt` is the instance's optimum, which O must cover exactly.
-    Enumeration is capped at |O| <= 20.
-    """
-    refs = _verify_optimal(inst, O, opt)
-    if not 0 <= x_size <= len(refs):
-        raise MkvcError("x_size out of range")
-    if opt == 0:
-        raise MkvcError("coverage shares undefined: optimal value is zero")
-
-    ordered = sorted(refs)
-    best_v = worst_v = None
-    best_s = worst_s = frozenset()
-    for comb in combinations(ordered, x_size):
-        v = covered_weight(inst, comb)
-        if best_v is None or v > best_v:
-            best_v, best_s = v, frozenset(comb)
-        if worst_v is None or v < worst_v:
-            worst_v, worst_s = v, frozenset(comb)
-    left_cov = covered_weight(inst, (r for r in refs if r.side == Side.LEFT))
-    return SubsetStats(
-        opt_value=opt, x_size=x_size,
-        best_subset=best_s, worst_subset=worst_s,
-        c_best=Fraction(best_v, opt), c_worst=Fraction(worst_v, opt),
-        alpha=Fraction(left_cov, opt),
-    )
 
 
 def prop1_sweep(inst: BipartiteInstance, O, opt) -> bool:

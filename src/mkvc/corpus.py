@@ -13,16 +13,25 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .analysis import prop1_sweep
+from .analysis import improve_ratio, prop1_sweep
 from .generate import GenKind, GenSpec, generate
 from .graph import BipartiteInstance, Side, covered_weight
 from .solvers import (
-    SolverKind, SolverSpec, build_solver, greedy_solver, solve_alg1,
-    solve_alg2, solve_exact, solve_greedy, solve_top_side,
+    GREEDY_RHO, SolverKind, SolverSpec, build_solver, greedy_solver,
+    solve_alg1, solve_alg2, solve_exact, solve_greedy, solve_top_side,
 )
 
-GREEDY_FLOOR = (63, 100)           # safe under-approximation of 1 - 1/e
-ALG2_FLOOR = Fraction(67597, 100000)
+
+def _floor_at(x: Fraction, scale: int) -> tuple:
+    """x rounded down to a multiple of 1/scale, as (numerator, scale)."""
+    return x.numerator * scale // x.denominator, scale
+
+
+# the sweep's floors, each rounded down from the ratio it stands for:
+# greedy's rho (itself below 1 - 1/e) to hundredths, and one amplification
+# pass over that rho, the amplifier's empirical floor, to 10**-5
+GREEDY_FLOOR = _floor_at(GREEDY_RHO, 100)
+ALG2_FLOOR = Fraction(*_floor_at(improve_ratio(GREEDY_RHO), 10 ** 5))
 CHUNK_GRAPHS = 2048                # graph masks per exhaustive-sweep task
 
 # each violation count of a sweep aggregate and its `mkvc verify` line
@@ -31,7 +40,7 @@ SWEEP_CHECKS = {
     "self_consistency": "reported values match recomputation",
     "dominance": "no solver exceeds the oracle",
     "rho": "every solver with a guarantee reaches rho of optimum",
-    "greedy_floor": "greedy value >= 63/100 of optimum",
+    "greedy_floor": "greedy value >= {}/{} of optimum".format(*GREEDY_FLOOR),
     "greedy_kn": "greedy value >= (k/n) of optimum",
     "alg2_vs_greedy": "amplifier never below greedy",
     "prop1": "remaining-optimum identity sweep",
@@ -131,7 +140,7 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
             _note(agg, "rho", f"{tag}: {name} {sol.covered_weight} "
                   f"< {rho[0]}/{rho[1]} of opt {opt}")
 
-    if 100 * g.covered_weight < GREEDY_FLOOR[0] * opt:
+    if GREEDY_FLOOR[1] * g.covered_weight < GREEDY_FLOOR[0] * opt:
         _note(agg, "greedy_floor", f"{tag}: greedy {g.covered_weight} vs opt {opt}")
     if inst.n * g.covered_weight < k * opt:
         _note(agg, "greedy_kn", f"{tag}: greedy below (k/n)*opt")

@@ -35,6 +35,18 @@ class GenSpec:
     rational_weights: bool = False
 
 
+# the spec fields each kind does not read; a value there other than the
+# field's default (its GenSpec class attribute) is refused, not ignored
+_UNREAD = {
+    GenKind.UNIFORM_RANDOM: ("d_left", "d_right"),
+    GenKind.SEMI_REGULAR: ("edge_prob", "weight_min", "weight_max",
+                           "rational_weights"),
+    GenKind.GREEDY_ADVERSARIAL: ("edge_prob", "d_left", "d_right",
+                                 "weight_min", "rational_weights"),
+    GenKind.COMPLETE: ("edge_prob", "d_left", "d_right"),
+}
+
+
 def _default_k(n: int) -> int:
     return -(-n // 4)
 
@@ -55,13 +67,21 @@ def generate(spec: GenSpec) -> BipartiteInstance:
     layout.  GreedyAdversarial builds a weighted k x 2k family whose bait
     vertices drag the greedy away from the one-side optimum; any other shape
     is rejected, not replaced.  Complete is the full bipartite graph.  An
-    edge_prob outside [0, 1] is rejected for every kind.
+    empty side and an edge_prob outside [0, 1] are rejected for every kind,
+    and so is a non-default value in a field the kind does not read.
     """
+    if spec.n_left < 1 or spec.n_right < 1:
+        raise MkvcError("side sizes must be >= 1")
     if not 0 <= spec.weight_min <= spec.weight_max:
         raise MkvcError(f"weights need 0 <= weight_min={spec.weight_min} "
                         f"<= weight_max={spec.weight_max}")
     if not 0 <= spec.edge_prob <= 1:  # a NaN fails both comparisons
         raise MkvcError(f"edge_prob={spec.edge_prob} out of range [0, 1]")
+    for name in _UNREAD.get(spec.kind, ()):
+        value, default = getattr(spec, name), getattr(GenSpec, name)
+        if value != default:
+            raise MkvcError(f"kind {spec.kind.value} does not read {name}; "
+                            f"got {name}={value}, leave it at {default}")
     rng = random.Random(spec.seed)
     n = spec.n_left + spec.n_right
     k = spec.k if spec.k is not None else _default_k(n)

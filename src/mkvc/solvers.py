@@ -1,7 +1,7 @@
 """All solvers: greedy over both sides, single-side top-k, the
 prefix-removal pass (alg1), the candidate-pool ratio amplifier (alg2), the
-bootstrapped approximation scheme (ptas), the exhaustive oracle, the
-semi-regular closed-form solver, and the budget-split guessing wrapper.
+bootstrapped approximation scheme (ptas), the exhaustive oracle, and
+the semi-regular closed-form solver.
 
 Each solver kind is one row of the `_KINDS` table: its label, its guarantee
 (rho) rule, whether it wraps a base solver, its public run and its masked
@@ -347,8 +347,7 @@ def solve_greedy(inst: BipartiteInstance) -> CoverSolution:
 
 def solve_top_side(inst: BipartiteInstance, side: Side) -> CoverSolution:
     """The min(k, side size) vertices of one side with the most incident
-    weight.  The budget is deliberately not spilled onto the other side;
-    pool both sides via guess_split_runner for a general-budget solver."""
+    weight.  The budget is deliberately not spilled onto the other side."""
     return _mask_solution(inst, *_top_side_masked(inst, side, inst.k, 0, 0)[:2])
 
 
@@ -606,20 +605,6 @@ def solve_semiregular_exact(inst: BipartiteInstance) -> CoverSolution:
     return _mask_solution(inst, _pad_mask(inst, vm, 0, inst.k, em)[0], w)
 
 
-def guess_split_runner(inst: BipartiteInstance, inner) -> CoverSolution:
-    """Run `inner(k_left, k_right)` for every split k_left + k_right == k
-    and keep the best solution (ties to the lexicographically smallest
-    vertex set)."""
-    best = None
-    best_key = None
-    for k1 in range(inst.k + 1):
-        sol = inner(k1, inst.k - k1)
-        key = (-sol.covered_weight, sol.sorted_vertices())
-        if best is None or key < best_key:
-            best, best_key = sol, key
-    return best
-
-
 # ---------------------------------------------------------------------------
 # the solver table
 
@@ -653,7 +638,7 @@ _KINDS = {
     SolverKind.TOP_SIDE: _Kind(
         label=lambda spec: f"topside[{_side_tag(spec.side)}]",
         # none: one side's top k cover 1/5 of opt on the 5+1 star (see the
-        # tests); pooling both sides, as guess_split_runner does, earns 1/2
+        # tests)
         rho=lambda spec, base: None,
         needs_base=False,
         run=lambda s, inst: solve_top_side(inst, s.spec.side),

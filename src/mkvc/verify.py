@@ -222,7 +222,7 @@ def alg2_floor_line(agg: dict) -> tuple:
     against its empirical floor."""
     ratio = agg["alg2_min_ratio"]
     return status_line(ratio is None or ratio >= ALG2_FLOOR,
-                       "amplifier empirical ratio floor 0.67597",
+                       f"amplifier empirical ratio floor {float(ALG2_FLOOR)}",
                        f"min ratio {ratio}")
 
 

@@ -6,15 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from mkvc import (
     BipartiteInstance, MkvcError, Side, VertexRef, covered_weight,
-    cw_lower_bound, improve_ratio, improvement_gap, inverse_improve,
-    minimum_claim_holds, prop1_sweep, ptas_schedule, secondary_bounds,
-    solve_exact, subset_stats,
+    improve_ratio, improvement_gap, inverse_improve, minimum_claim_holds,
+    prop1_sweep, ptas_schedule, secondary_bounds, solve_exact,
 )
 from mkvc.analysis import _verify_optimal
 from mkvc.solvers import GREEDY_RHO
 
 L = lambda i: VertexRef(Side.LEFT, i)
-R = lambda i: VertexRef(Side.RIGHT, i)
 
 GRID = [Fraction(i, 100) for i in range(1, 100)]
 
@@ -72,17 +70,6 @@ def test_minimum_claim_region():
     assert Fraction(13, 25) > b1 and Fraction(13, 25) > b2
 
 
-def test_cw_lower_bound_values():
-    assert cw_lower_bound(1, 1, Fraction(1, 2)) == 0
-    assert cw_lower_bound(Fraction(7, 10), Fraction(7, 10), 0) == 0
-    assert cw_lower_bound(Fraction(8, 10), Fraction(85, 100),
-                          Fraction(1, 2)) == Fraction(1, 16)
-
-
-def test_cw_lower_bound_can_be_vacuous():
-    assert cw_lower_bound(Fraction(1, 2), 1, 0) < 0
-
-
 # -- schedule ----------------------------------------------------------------
 
 def test_schedule_converged_start_needs_no_levels():
@@ -130,44 +117,6 @@ def test_fixed_point_inversion_accuracy():
         eps = Fraction(enum_, 100)
         err = abs(improve_ratio(inverse_improve(eps)) - (1 - eps))
         assert err <= Fraction(1, 10 ** 12)
-
-
-# -- subset stats ------------------------------------------------------------
-
-def test_subset_stats_k22_symmetry(k22):
-    opt = solve_exact(k22)
-    stats = subset_stats(k22, opt.vertices, 1, opt.covered_weight)
-    assert stats.c_best == stats.c_worst == Fraction(1, 2)
-    assert stats.opt_value == 4
-
-
-def test_subset_stats_extremes(k22):
-    opt = solve_exact(k22)
-    zero = subset_stats(k22, opt.vertices, 0, opt.covered_weight)
-    assert zero.c_best == zero.c_worst == 0
-    full = subset_stats(k22, opt.vertices, len(opt.vertices),
-                        opt.covered_weight)
-    assert full.c_best == full.c_worst == 1
-
-
-def test_subset_stats_alpha_is_left_share():
-    inst = BipartiteInstance(2, 2, [(0, 0, 3), (1, 1, 5)], 2)
-    opt = solve_exact(inst)
-    stats = subset_stats(inst, opt.vertices, 1, opt.covered_weight)
-    assert stats.alpha == 1  # lexicographically first optimum is both lefts
-    assert stats.c_best == Fraction(5, 8)
-    assert stats.c_worst == Fraction(3, 8)
-
-
-def test_subset_stats_rejects_non_optimal(k22):
-    with pytest.raises(MkvcError, match="not optimal"):
-        subset_stats(k22, {L(0), R(0)}, 1, solve_exact(k22).covered_weight)
-
-
-def test_subset_stats_x_size_range(k22):
-    opt = solve_exact(k22)
-    with pytest.raises(MkvcError, match="x_size"):
-        subset_stats(k22, opt.vertices, 3, opt.covered_weight)
 
 
 # -- remaining-optimum check -------------------------------------------------

@@ -560,8 +560,18 @@ def test_cli_gen_bad_weight_range_exits_one(tmp_path, capsys, argv):
     (["--edge-prob", "2"], "edge_prob=2.0 out of range [0, 1]"),
     (["--edge-prob", "-0.5"], "edge_prob=-0.5 out of range [0, 1]"),
     (["--edge-prob", "nan"], "edge_prob=nan out of range [0, 1]"),
+    (["--kind", "complete", "--n-left", "0", "--n-right", "5"],
+     "side sizes must be >= 1"),
+    (["--n-left", "0", "--n-right", "5"], "side sizes must be >= 1"),
+    (["--kind", "complete", "--edge-prob", "0.1", "--n-left", "2",
+      "--n-right", "2"], "kind complete does not read edge_prob"),
+    (["--kind", "semiregular", "--n-left", "4", "--n-right", "4",
+      "--d-left", "2", "--d-right", "2", "--weight-min", "7",
+      "--weight-max", "9"], "kind semiregular does not read weight_min"),
 ], ids=["k-0", "k-n", "semiregular-degree", "adversarial-shape",
-        "edge-prob-2", "edge-prob-negative", "edge-prob-nan"])
+        "edge-prob-2", "edge-prob-negative", "edge-prob-nan",
+        "complete-empty-side", "uniform-empty-side", "complete-edge-prob",
+        "semiregular-weights"])
 def test_cli_gen_bad_shape_exits_one(tmp_path, capsys, argv, message):
     out = tmp_path / "f.mkvc"
     assert main(["gen", *argv, "-o", str(out)]) == 1
@@ -658,17 +668,61 @@ def test_cli_exit_codes_under_fuzzed_arguments(cli_files, capsys, data):
         argv += tokens
     for junk in data.draw(st.lists(_JUNK, max_size=2)):
         argv.insert(data.draw(st.integers(0, len(argv))), junk)
-    assert main(argv) in (0, 1, 2, 64)
+    # the one output path gen can write; cleared so a file left by an
+    # earlier example is not taken for this one's
+    written = Path(cli_files["out"][0])
+    written.unlink(missing_ok=True)
+    code = main(argv)
+    assert code in (0, 1, 2, 64)
+    if command == "gen" and written.exists():
+        # gen writes only on success, and only files that read back
+        assert code == 0
+        read_instance(written)
     capsys.readouterr()
 
 
 # -- determinism ---------------------------------------------------------------------
+
+# `mkvc verify` with its default flags, byte for byte
+_VERIFY_DEFAULT_OUTPUT = """\
+ok   amplification strictly improves on (0,1) [99/99 grid points]
+ok   gap identity (1-r)^3/(1+(1-r)^2) exact [99/99 grid points]
+ok   gap strictly decreasing in rho [99-point grid]
+ok   amplified ratio minimal among case bounds on [3/4, 1) [25/25 grid points]
+note minimality of the amplified-ratio bound is provably false below 3/4 (13/25 > 5/11 at rho=1/4); claim holds at 0/74 low grid points
+ok   iteration bound at (greedy rho, eps=1/10) [263 (expected 263 +- 1), convergence in 46 levels]
+ok   rho=1/2 reaches 3/5 in one level [1 levels]
+ok   convergence count within the closed-form bound [admissible grid, violations: []]
+ok   fixed-point inversion accurate to 1e-12 [eps grid 0.05..0.45, violations: []]
+ok   coverage monotone under inclusion [30 instances]
+ok   coverage gains submodular [30 instances]
+ok   single-side top-l equals brute force [30 instances]
+ok   residual coverage additivity [30 instances]
+ok   scaled weights within [0, n^3], max attained [40 instances]
+ok   ceiling over-count within |F| on random edge sets [40 instances]
+ok   oracle on scaled weights transfers ratio 1 - 1/(4n) [40 instances]
+ok   every solver returns its full budget [1034 (instance, k) pairs]
+ok   reported values match recomputation [1034 (instance, k) pairs]
+ok   no solver exceeds the oracle [1034 (instance, k) pairs]
+ok   every solver with a guarantee reaches rho of optimum [1034 (instance, k) pairs]
+ok   greedy value >= 63/100 of optimum [1034 (instance, k) pairs]
+ok   greedy value >= (k/n) of optimum [1034 (instance, k) pairs]
+ok   amplifier never below greedy [1034 (instance, k) pairs]
+ok   remaining-optimum identity sweep [1034 (instance, k) pairs]
+ok   amplifier empirical ratio floor 0.67597 [min ratio 1]
+ok   repeated runs identical
+verification PASSED
+"""
+
 
 def test_verification_output_is_byte_stable():
     lines_a, lines_b = [], []
     assert run_verification(small_n=4, out=lines_a.append)
     assert run_verification(small_n=4, out=lines_b.append)
     assert lines_a == lines_b
+    lines = []
+    assert run_verification(out=lines.append)
+    assert lines == _VERIFY_DEFAULT_OUTPUT.splitlines()
 
 
 def test_bench_csv_stable_apart_from_timing(tmp_path):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from mkvc import (
     BipartiteInstance, CoverSolution, MkvcError, Side, SolverKind,
     SolverSpec, VertexRef, build_solver, covered_weight, exact_solver,
-    greedy_solver, guess_split_runner, improve_ratio, residual,
-    secondary_bounds, solve_alg1, solve_alg2, solve_exact, solve_greedy,
-    solve_ptas, solve_semiregular_exact, solve_top_side,
+    greedy_solver, improve_ratio, residual, secondary_bounds, solve_alg1,
+    solve_alg2, solve_exact, solve_greedy, solve_ptas,
+    solve_semiregular_exact, solve_top_side,
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
@@ -430,44 +430,6 @@ def test_semiregular_matches_oracle_on_generated():
     for _, inst in semiregular_corpus(count=25, seed=40):
         assert (solve_semiregular_exact(inst).covered_weight
                 == solve_exact(inst).covered_weight)
-
-
-# -- split guessing ---------------------------------------------------------------
-
-def test_guess_split_identity_when_inner_ignores_split(k22):
-    sol = guess_split_runner(k22, lambda k1, k2: solve_greedy(k22))
-    assert sol == solve_greedy(k22)
-
-
-def test_guess_split_tries_every_split():
-    calls = []
-    inst = BipartiteInstance(2, 2, [(0, 0, 1)], 3)
-
-    def inner(k1, k2):
-        calls.append((k1, k2))
-        return solve_greedy(inst)
-
-    guess_split_runner(inst, inner)
-    assert calls == [(0, 3), (1, 2), (2, 1), (3, 0)]
-
-
-def test_guess_split_pools_both_sides():
-    rng = random.Random(14)
-    for _ in range(20):
-        inst = random_instance(rng)
-
-        def inner(k1, k2):
-            left = solve_top_side(inst.with_budget(k1), Side.LEFT)
-            right = solve_top_side(inst.with_budget(k2), Side.RIGHT)
-            refs = left.vertices | right.vertices
-            from mkvc import CoverSolution
-            return CoverSolution(vertices=frozenset(refs),
-                                 covered_weight=covered_weight(inst, refs))
-
-        pooled = guess_split_runner(inst, inner).covered_weight
-        single = max(solve_top_side(inst, Side.LEFT).covered_weight,
-                     solve_top_side(inst, Side.RIGHT).covered_weight)
-        assert pooled >= single
 
 
 # -- masked runs and composition ---------------------------------------------------
