@@ -52,6 +52,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
+def _oracle_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _solver_names(text: str) -> list:
     names = [name.strip() for name in text.split(",") if name.strip()]
     valid = [k.value for k in SolverKind]
@@ -92,13 +103,15 @@ def _build_parser() -> _Parser:
     solve.add_argument("--epsilon", type=_fraction)
     solve.add_argument("--max-depth", type=int)
     solve.add_argument("--scale-ell", type=int, default=None)
-    solve.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)
+    solve.add_argument("--oracle-budget", type=_oracle_budget,
+                       default=ORACLE_BUDGET)
     solve.set_defaults(run=_cmd_solve, **_SOLVER_DEFAULTS)
 
     bench = sub.add_parser("bench", help="run solvers over a directory")
     bench.add_argument("directory")
     bench.add_argument("--oracle", action="store_true")
-    bench.add_argument("--oracle-budget", type=int, default=ORACLE_BUDGET)
+    bench.add_argument("--oracle-budget", type=_oracle_budget,
+                       default=ORACLE_BUDGET)
     bench.add_argument("--solvers", type=_solver_names, default="greedy,alg2",
                        help="comma-separated solver names")
     bench.add_argument("--output", "-o", default=None)

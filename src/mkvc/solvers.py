@@ -1,7 +1,7 @@
 """All solvers: greedy over both sides, single-side top-k, the
 prefix-removal pass (alg1), the candidate-pool ratio amplifier (alg2), the
-bootstrapped approximation scheme (ptas), the exhaustive oracle, and
-the semi-regular closed-form solver.
+bootstrapped approximation scheme (ptas), the exact oracle, and the
+semi-regular closed-form solver.
 
 Each solver kind is one row of the `_KINDS` table: its label, its guarantee
 (rho) rule, whether it wraps a base solver, its public run and its masked
@@ -34,6 +34,14 @@ greedy runs, whose traced direct run also yields every reduced-budget run
 and the gains that rank its completions.  Each small set's parent hands
 down its residual gains and the sum of its top ones, which bound every
 child before the child's own edges are walked.
+
+The oracle returns the lexicographically first optimum.  Up to
+`EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
+that a depth-first search over ids visits them in the same order and cuts
+a set S whose w(new cover of S) plus top budget - |S| residual gains (the
+submodular bound of Nemhauser, Wolsey and Fisher) cannot beat the
+incumbent or reach greedy's value (`_exact_search`).  Its guard counts
+k-subsets on both paths.
 """
 
 from __future__ import annotations
@@ -51,6 +59,8 @@ from .errors import MkvcError
 from .graph import BipartiteInstance, CoverSolution, Side
 
 ORACLE_BUDGET = 2_000_000
+# the oracle enumerates up to this many k-subsets flat, and searches beyond
+EXACT_FLAT_MAX = 200
 
 # exact rational lower bound of 1 - 1/e = 0.6321205..., truncated downward
 GREEDY_RHO = Fraction(632_120, 1_000_000)
@@ -187,11 +197,24 @@ def _greedy_masked(inst, banned: int, covered: int, budget: int):
 
 def _exact_masked(inst, banned: int, covered: int, budget: int,
                   enum_budget: int = ORACLE_BUDGET):
-    allowed = [v for v in range(inst.n) if not banned >> v & 1]
-    if budget > len(allowed):
+    """The oracle: `enum_budget` caps the k-subsets C(allowed, budget),
+    whichever path runs.  Up to `EXACT_FLAT_MAX` subsets the flat
+    enumeration is the faster, beyond it the search."""
+    free = inst.n - banned.bit_count()
+    if budget > free:
         raise MkvcError("budget exceeds available vertices")
-    if comb(len(allowed), budget) > enum_budget:
+    subsets = comb(free, budget)
+    if subsets > enum_budget:
         raise MkvcError("instance too large for oracle")
+    if subsets <= EXACT_FLAT_MAX:
+        return _exact_flat(inst, banned, covered, budget)
+    return _exact_search(inst, banned, covered, budget)
+
+
+def _exact_flat(inst, banned: int, covered: int, budget: int):
+    """Every k-subset of the allowed ids in lexicographic order, each
+    valued by `mask_weight`; the first maximum wins."""
+    allowed = [v for v in range(inst.n) if not banned >> v & 1]
     inc = inst._inc
     not_cov = ~covered
     mask_weight = inst.mask_weight
@@ -211,6 +234,101 @@ def _exact_masked(inst, banned: int, covered: int, budget: int,
     for v in best_sub:
         vm |= 1 << v
     return vm, best_w, covered | best_em
+
+
+def _exact_search(inst, banned: int, covered: int, budget: int):
+    """`_exact_flat`'s triple by a depth-first branch and bound over the
+    same k-subsets in the same lexicographic order.
+
+    A node is a set S of allowed ids; its children add one later id.  It
+    hands each child its residual gains (indexed by position among the
+    allowed ids), less the edges the child newly covers, and `r`, the sum
+    of its top budget - |S| - 1 tail gains.  No budget-set holding S covers
+    more than S's bound, w(new cover of S) plus the top budget - |S| gains
+    of the ids after S's last, and a child's weight plus its own gain plus
+    its parent's `r` is at least the child's bound.  A set replaces the
+    incumbent only when strictly heavier, so a node whose bound is at or
+    below the incumbent, or strictly below greedy's value (no optimum is),
+    is cut: the lexicographically first optimum survives both cuts.  A
+    node one short of the budget takes the first maximum of its tail
+    gains.  A parent's last child can only take every later id, so that
+    one set is valued at once.  The frames sit on an explicit stack, since
+    the search is budget deep."""
+    if budget == 0:
+        return 0, inst.mask_weight(0), covered
+    allowed = [v for v in range(inst.n) if not banned >> v & 1]
+    size = len(allowed)
+    inc = inst._inc
+    n_left = inst.n_left
+    not_cov = ~covered
+    gains = _gains(inst, banned, covered)
+    floor = _greedy_picks(inst, gains[:], covered, budget)[1]
+    # by position; a banned endpoint's share goes to the spare last slot
+    pos = [size] * inst.n
+    for p, v in enumerate(allowed):
+        pos[v] = p
+    ends = [(pos[l], pos[n_left + r], w) for l, r, w in inst.edges]
+    g0 = [gains[v] for v in allowed] + [0]
+    bits = [1 << v for v in allowed]
+    incs = [inc[v] & not_cov for v in allowed]
+    # the ids from each position on, and the edges they cover
+    tail_bits = [0] * (size + 1)
+    tail_cov = [0] * (size + 1)
+    for p in reversed(range(size)):
+        tail_bits[p] = tail_bits[p + 1] | bits[p]
+        tail_cov[p] = tail_cov[p + 1] | incs[p]
+    mask_weight = inst.mask_weight
+    last = budget - 1            # the size of a set one short of the budget
+    best_w, best = -1, 0
+    if last == 0:
+        top = max(g0[:size])
+        best = bits[g0.index(top)]
+    else:
+        # a frame: (its children's positions, |S|, gains, weight of S, S,
+        # S's new cover, r)
+        stack = [(iter(range(size - last)), 0, g0, 0, 0, 0,
+                  sum(sorted(g0[:size], reverse=True)[:last]))]
+        while stack:
+            children, j, g, ws, sm, cov, r = stack[-1]
+            forced = size - last + j - 1
+            for p in children:
+                wc = ws + g[p]
+                bound = wc + r
+                if bound <= best_w or bound < floor:
+                    continue
+                if p == forced and j + 1 < last:
+                    w = mask_weight(cov | tail_cov[p])
+                    if w > best_w:
+                        best_w, best = w, sm | tail_bits[p]
+                    continue
+                gc = g[:]
+                new = incs[p] & ~cov
+                while new:
+                    low = new & -new
+                    a, b, w = ends[low.bit_length() - 1]
+                    gc[a] -= w
+                    gc[b] -= w
+                    new ^= low
+                if j + 1 == last:
+                    tail = gc[p + 1:size]
+                    top = max(tail)
+                    if wc + top > best_w:
+                        best_w = wc + top
+                        best = sm | bits[p] | bits[p + 1 + tail.index(top)]
+                    continue
+                rest = last - j
+                tops = sorted(gc[p + 1:size], reverse=True)[:rest]
+                bound = wc + sum(tops)
+                if bound <= best_w or bound < floor:
+                    continue
+                stack.append((iter(range(p + 1, size - rest + 1)), j + 1, gc,
+                              wc, sm | bits[p], cov | incs[p],
+                              bound - wc - tops[-1]))
+                break
+            else:
+                stack.pop()
+    cover = covered | inst.cover_mask(v for v in allowed if best >> v & 1)
+    return best, mask_weight(cover & not_cov), cover
 
 
 def _top_block(inst, side: Side, l: int, gains: list):
@@ -579,9 +697,11 @@ def _run_chain(inst, epsilon, chain, stacklevel: int) -> CoverSolution:
 
 def solve_exact(inst: BipartiteInstance,
                 enumeration_budget: int = ORACLE_BUDGET) -> CoverSolution:
-    """Exhaustive oracle: every k-subset of the vertices, maximum covered
-    weight, ties to the lexicographically smallest vertex set.  Refuses
-    instances with more than `enumeration_budget` subsets."""
+    """Exact oracle: the k-subset of maximum covered weight, ties to the
+    lexicographically smallest vertex set.  Small instances value every
+    k-subset; larger ones find the same set by a depth-first branch and
+    bound over the subsets in lexicographic order.  Refuses instances with
+    more than `enumeration_budget` k-subsets, whichever way it runs."""
     return _mask_solution(
         inst, *_exact_masked(inst, 0, 0, inst.k, enumeration_budget)[:2])
 

@@ -516,6 +516,20 @@ def test_cli_bench_oracle_infeasible_exits_one(tmp_path, capsys):
     assert "oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_cli_oracle_budget_below_one_is_a_usage_error(tmp_path, capsys,
+                                                      command, budget):
+    path = _write_k22(tmp_path)
+    args = ([str(path), "--algorithm", "exact"] if command == "solve"
+            else [str(tmp_path), "--oracle"])
+    assert main([command, *args, "--oracle-budget", budget]) == 64
+    captured = capsys.readouterr()
+    assert (f"argument --oracle-budget: must be >= 1, got {budget}"
+            in captured.err)
+    assert captured.out == ""
+
+
 def test_sweep_checks_every_battery_solver_with_a_rho(monkeypatch):
     import mkvc.corpus as corpus
     assert corpus.BATTERY_RHOS == {
@@ -606,37 +620,79 @@ def _opt(flag, values):
     return values.map(lambda v: [flag, str(v)])
 
 
+def _options(*strategies):
+    """Up to four of the given options, in any order, as one token list."""
+    return st.lists(st.one_of(strategies), max_size=4).map(
+        lambda groups: [token for group in groups for token in group])
+
+
+@st.composite
+def _gen_options(draw):
+    """`--kind`, the shape, and up to three more option groups that kind
+    reads.  The values mostly lie in range, and the options that must
+    agree (the adversarial k x 2k shape and budget, a semiregular
+    handshake, the weight bounds) are drawn together, so that most draws
+    are instances gen can write; an empty side, a budget of 0 or n,
+    weights out of order and a broken handshake still come up."""
+    ints = st.integers
+    kind = draw(st.sampled_from(list(GenKind)))
+    if kind is GenKind.GREEDY_ADVERSARIAL:
+        b = draw(ints(1, 4))
+        n_left, n_right = b, 2 * b
+        shape = [("--n-left", b), ("--n-right", 2 * b), ("--k", b)]
+        groups = [[("--weight-max", draw(ints(-1, 9)))]]
+    else:
+        n_left, n_right = draw(ints(0, 6)), draw(ints(0, 6))
+        shape = [("--n-left", n_left), ("--n-right", n_right)]
+        groups = [[("--k", draw(ints(0, n_left + n_right)))]]
+    groups.append([("--seed", draw(ints(0, 9)))])
+    if kind is GenKind.SEMI_REGULAR and n_right:
+        # a left degree that meets the handshake, or any one
+        fits = [d for d in range(n_right + 1) if n_left * d % n_right == 0]
+        d_left = draw(st.one_of(st.sampled_from(fits), ints(0, n_right)))
+        d_right = n_left * d_left // n_right
+        groups.append([("--d-left", d_left), ("--d-right", d_right)])
+    if kind in (GenKind.UNIFORM_RANDOM, GenKind.COMPLETE):
+        low = draw(ints(-1, 5))
+        groups.append([("--weight-min", low),
+                       ("--weight-max", low + draw(ints(-1, 5)))])
+    if kind is GenKind.UNIFORM_RANDOM:
+        groups.append([("--edge-prob", draw(st.sampled_from(
+            [-0.5, 0, 0.3, 0.7, 1, 1.5])))])
+    chosen = draw(st.lists(st.sampled_from(groups), unique_by=id,
+                           max_size=3))
+    return ["--kind", kind.value] + [
+        str(token) for group in [shape, *chosen] for pair in group
+        for token in pair]
+
+
 def _cli_flags(paths):
-    """Per subcommand, its required tokens and strategies for its options
-    (sizes <= 6, --small-n <= 4 and --scale-ell <= 4, so each call is
-    quick)."""
+    """Per subcommand, its required tokens and a strategy for its option
+    tokens (sizes <= 6, --small-n <= 4 and --scale-ell <= 4, so each call
+    is quick)."""
     ints = st.integers
     kinds = [k.value for k in SolverKind]
     return {
-        "gen": ([st.just("-o"), st.sampled_from(paths["out"])], [
-            _opt("--kind", st.sampled_from([k.value for k in GenKind])),
-            _opt("--n-left", ints(-1, 6)), _opt("--n-right", ints(-1, 6)),
-            _opt("--edge-prob", st.sampled_from([-0.5, 0, 0.3, 1, 1.5])),
-            _opt("--d-left", ints(-1, 6)), _opt("--d-right", ints(-1, 6)),
-            _opt("--weight-min", ints(-2, 9)),
-            _opt("--weight-max", ints(-2, 9)),
-            _opt("--k", ints(-1, 12)), _opt("--seed", ints(0, 9))]),
+        # the writable path two times in three
+        "gen": ([st.just("-o"), st.one_of(st.just(paths["out"][0]),
+                                          st.sampled_from(paths["out"]))],
+                _gen_options()),
         "solve": ([st.sampled_from(paths["in"]), st.just("--algorithm"),
-                   st.sampled_from(kinds)], [
+                   st.sampled_from(kinds)], _options(
             _opt("--base", st.sampled_from(kinds)),
             _opt("--c", ints(-1, 4)), _opt("--x-size", ints(-1, 4)),
             _opt("--side", st.sampled_from(["left", "R", "up"])),
             _opt("--epsilon", st.sampled_from(["1/10", "1/2", "0", "-1",
                                                "3/2", "1/0", "0.3"])),
             _opt("--max-depth", ints(-1, 2)), _opt("--scale-ell", ints(-1, 4)),
-            _opt("--oracle-budget", ints(-1, 500))]),
-        "bench": ([st.sampled_from(paths["dir"])], [
+            _opt("--oracle-budget", ints(-1, 500)))),
+        "bench": ([st.sampled_from(paths["dir"])], _options(
             st.just(["--oracle"]), _opt("--oracle-budget", ints(-1, 500)),
             _opt("--solvers", st.lists(st.sampled_from(kinds + ["foo", ""]),
                                        max_size=3).map(",".join)),
-            _opt("--output", st.sampled_from(paths["out"]))]),
-        "verify": ([], [_opt("--small-n", ints(-1, 4)),
-                        _opt("--seed", ints(-3, 9))]),
+            _opt("--output", st.sampled_from(paths["out"])))),
+        "verify": ([], _options(_opt("--small-n", ints(-1, 4)),
+                                _opt("--seed", ints(-3, 9)))),
     }
 
 
@@ -664,8 +720,7 @@ def test_cli_exit_codes_under_fuzzed_arguments(cli_files, capsys, data):
     command = data.draw(st.sampled_from(["gen", "solve", "bench", "verify"]))
     required, options = _cli_flags(cli_files)[command]
     argv = [command] + [data.draw(token) for token in required]
-    for tokens in data.draw(st.lists(st.one_of(options), max_size=4)):
-        argv += tokens
+    argv += data.draw(options)
     for junk in data.draw(st.lists(_JUNK, max_size=2)):
         argv.insert(data.draw(st.integers(0, len(argv))), junk)
     # the one output path gen can write; cleared so a file left by an

@@ -3,6 +3,7 @@ import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +15,15 @@ from mkvc import (
     solve_alg2, solve_exact, solve_greedy, solve_ptas,
     solve_semiregular_exact, solve_top_side,
 )
+from mkvc.corpus import (
+    random_weighted_corpus, rational_corpus, sampled_sweep_tasks,
+    semiregular_corpus, unweighted_instance,
+)
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
-    GREEDY_RHO, _alg2_masked, _gains, _greedy_masked, _lex_less,
-    _pad_mask, _top_side_masked,
+    EXACT_FLAT_MAX, GREEDY_RHO, _alg2_masked, _exact_flat, _exact_masked,
+    _exact_search, _gains, _greedy_masked, _lex_less, _pad_mask,
+    _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -426,7 +432,6 @@ def test_semiregular_rejects_weighted():
 
 
 def test_semiregular_matches_oracle_on_generated():
-    from mkvc.corpus import semiregular_corpus
     for _, inst in semiregular_corpus(count=25, seed=40):
         assert (solve_semiregular_exact(inst).covered_weight
                 == solve_exact(inst).covered_weight)
@@ -551,6 +556,74 @@ def test_masked_greedy_matches_rescanning_reference(case):
         assert total == ref_total
     with pytest.raises(MkvcError, match="exceeds"):
         _greedy_masked(inst, banned, covered, allowed + 1)
+
+
+# -- the oracle's search against its flat enumeration -------------------------
+
+def _assert_exact_paths_agree(inst, banned, covered, budget):
+    got = _exact_search(inst, banned, covered, budget)
+    want = _exact_flat(inst, banned, covered, budget)
+    assert got == want
+    assert type(got[1]) is type(want[1])
+
+
+@given(masked_greedy_cases())
+@settings(max_examples=300, deadline=None)
+def test_exact_search_matches_flat_enumeration(case):
+    """The (vertex mask, value, cover) triple at every budget, over every
+    weight kind, called directly on sizes the oracle enumerates flat."""
+    inst, banned, covered = case
+    for budget in range(inst.n - banned.bit_count() + 1):
+        _assert_exact_paths_agree(inst, banned, covered, budget)
+
+
+def test_exact_search_matches_flat_on_the_seeded_corpora():
+    rng = random.Random(17)
+    for _, inst in (random_weighted_corpus() + rational_corpus()
+                    + semiregular_corpus()):
+        _assert_exact_paths_agree(inst, 0, 0, inst.k)
+        for _ in range(3):
+            banned = rng.getrandbits(inst.n)
+            covered = rng.getrandbits(inst.m)
+            budget = rng.randint(0, inst.n - banned.bit_count())
+            _assert_exact_paths_agree(inst, banned, covered, budget)
+
+
+def test_exact_search_matches_flat_on_sampled_small_graphs():
+    for nl, nr, masks in sampled_sweep_tasks(8, 60, seed=5):
+        for gmask in masks:
+            inst = unweighted_instance(nl, nr, gmask, 1)
+            for budget in range(inst.n + 1):
+                _assert_exact_paths_agree(inst, 0, 0, budget)
+
+
+def test_exact_search_is_not_recursive_at_budget_depth():
+    # C(1200, 1199) = 1,200 sets, searched 1,199 levels deep
+    rng = random.Random(3)
+    pairs = sorted({(rng.randrange(600), rng.randrange(600))
+                    for _ in range(1500)})
+    inst = BipartiteInstance(600, 600, [(l, r, rng.randint(1, 9))
+                                        for l, r in pairs], 1199)
+    _assert_exact_paths_agree(inst, 0, 0, inst.k)
+
+
+@pytest.mark.parametrize("n_left, k", [(4, 2), (6, 4)],
+                         ids=["flat", "search"])
+def test_exact_guard_counts_k_subsets_at_its_boundary(n_left, k):
+    inst = BipartiteInstance(n_left, n_left,
+                             [(i, j, 1 + (i + 2 * j) % 5)
+                              for i in range(n_left) for j in range(n_left)
+                              if (i + j) % 3], k)
+    subsets = comb(inst.n, k)
+    assert (subsets > EXACT_FLAT_MAX) == (n_left == 6)
+    assert solve_exact(inst, subsets) == solve_exact(inst)
+    with pytest.raises(MkvcError, match="too large"):
+        solve_exact(inst, subsets - 1)
+    # banned ids are not counted
+    subsets = comb(inst.n - 2, k)
+    _exact_masked(inst, 0b11, 0, k, subsets)
+    with pytest.raises(MkvcError, match="too large"):
+        _exact_masked(inst, 0b11, 0, k, subsets - 1)
 
 
 def _residual_alg1(inst, x_size, base, side):
