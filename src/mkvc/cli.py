@@ -52,15 +52,22 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
-def _oracle_budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+_oracle_budget = _int_at_least(1)
+# a sweep needs a pair of vertices
+_small_n = _int_at_least(2)
 
 
 def _solver_names(text: str) -> list:
@@ -70,6 +77,8 @@ def _solver_names(text: str) -> list:
         if name not in valid:
             raise argparse.ArgumentTypeError(
                 f"unknown solver {name!r} (choose from {', '.join(valid)})")
+    if not names:
+        raise argparse.ArgumentTypeError("must name at least one solver")
     return names
 
 
@@ -118,7 +127,7 @@ def _build_parser() -> _Parser:
     bench.set_defaults(run=_cmd_bench, **_SOLVER_DEFAULTS)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
-    verify.add_argument("--small-n", type=int, default=6)
+    verify.add_argument("--small-n", type=_small_n, default=6)
     verify.add_argument("--seed", type=int, default=20260810)
     verify.set_defaults(run=_cmd_verify)
     return parser

@@ -37,11 +37,11 @@ child before the child's own edges are walked.
 
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
-that a depth-first search over ids visits them in the same order and cuts
-a set S whose w(new cover of S) plus top budget - |S| residual gains (the
-submodular bound of Nemhauser, Wolsey and Fisher) cannot beat the
-incumbent or reach greedy's value (`_exact_search`).  Its guard counts
-k-subsets on both paths.
+that it runs alg2's small-set search to the full budget with no base runs
+(`_exact_search`): the same order, the same cuts by w(new cover of S) plus
+top budget - |S| residual gains (the submodular bound of Nemhauser,
+Wolsey and Fisher) and the same tie test, from greedy's set.  Its guard
+counts k-subsets on both paths.
 """
 
 from __future__ import annotations
@@ -126,6 +126,12 @@ def _lex_less(a: int, b: int) -> bool:
     sets of equal size: the lowest id in which they differ lies in `a`."""
     d = a ^ b
     return a & d & -d != 0
+
+
+def _loses_tie(inst, sm: int, banned: int, budget: int, best: int) -> bool:
+    """Whether even the lexicographically first budget-set holding `sm`
+    sorts after `best`: then no set holding `sm` wins a tie with it."""
+    return not _lex_less(_pad_mask(inst, sm, banned, budget, 0)[0], best)
 
 
 def _gains(inst, banned: int, covered: int) -> list:
@@ -237,98 +243,78 @@ def _exact_flat(inst, banned: int, covered: int, budget: int):
 
 
 def _exact_search(inst, banned: int, covered: int, budget: int):
-    """`_exact_flat`'s triple by a depth-first branch and bound over the
-    same k-subsets in the same lexicographic order.
+    """`_exact_flat`'s triple by alg2's small-set search run to the full
+    budget with no base runs, from greedy's set as the first incumbent.
 
-    A node is a set S of allowed ids; its children add one later id.  It
-    hands each child its residual gains (indexed by position among the
-    allowed ids), less the edges the child newly covers, and `r`, the sum
-    of its top budget - |S| - 1 tail gains.  No budget-set holding S covers
-    more than S's bound, w(new cover of S) plus the top budget - |S| gains
-    of the ids after S's last, and a child's weight plus its own gain plus
-    its parent's `r` is at least the child's bound.  A set replaces the
-    incumbent only when strictly heavier, so a node whose bound is at or
-    below the incumbent, or strictly below greedy's value (no optimum is),
-    is cut: the lexicographically first optimum survives both cuts.  A
-    node one short of the budget takes the first maximum of its tail
-    gains.  A parent's last child can only take every later id, so that
-    one set is valued at once.  The frames sit on an explicit stack, since
-    the search is budget deep."""
-    if budget == 0:
-        return 0, inst.mask_weight(0), covered
+    A node's children add one id after its last in alg2's order (entry
+    gain descending, then id), so each k-subset is one leaf; gains are
+    indexed by position in that order.  A child S + v gets S's residual
+    gains less the edges v newly covers.  Its bound, w(new cover of S + v)
+    plus the top budget - |S| - 1 of them, ranges only over the ids after
+    v: no leaf below it holds an earlier one, and a bound over every id
+    would only be looser.  A child is first cut by S's weight plus its
+    entry gain plus S's `r` (S's bound less its weight and its least top
+    gain), which falls along the order, so the first failure ends the
+    frame.  The other cuts and the tie test are alg2's, and a leaf
+    replaces the incumbent when heavier, or as heavy and lexicographically
+    first.  The frames sit on an explicit stack, since the search is
+    budget deep."""
     allowed = [v for v in range(inst.n) if not banned >> v & 1]
-    size = len(allowed)
-    inc = inst._inc
-    n_left = inst.n_left
-    not_cov = ~covered
     gains = _gains(inst, banned, covered)
-    floor = _greedy_picks(inst, gains[:], covered, budget)[1]
+    order = sorted(allowed, key=lambda v: (-gains[v], v))
+    size = len(order)
+    not_cov = ~covered
     # by position; a banned endpoint's share goes to the spare last slot
     pos = [size] * inst.n
-    for p, v in enumerate(allowed):
+    for p, v in enumerate(order):
         pos[v] = p
-    ends = [(pos[l], pos[n_left + r], w) for l, r, w in inst.edges]
-    g0 = [gains[v] for v in allowed] + [0]
-    bits = [1 << v for v in allowed]
-    incs = [inc[v] & not_cov for v in allowed]
-    # the ids from each position on, and the edges they cover
-    tail_bits = [0] * (size + 1)
-    tail_cov = [0] * (size + 1)
-    for p in reversed(range(size)):
-        tail_bits[p] = tail_bits[p + 1] | bits[p]
-        tail_cov[p] = tail_cov[p + 1] | incs[p]
-    mask_weight = inst.mask_weight
-    last = budget - 1            # the size of a set one short of the budget
-    best_w, best = -1, 0
-    if last == 0:
-        top = max(g0[:size])
-        best = bits[g0.index(top)]
-    else:
-        # a frame: (its children's positions, |S|, gains, weight of S, S,
-        # S's new cover, r)
-        stack = [(iter(range(size - last)), 0, g0, 0, 0, 0,
-                  sum(sorted(g0[:size], reverse=True)[:last]))]
-        while stack:
-            children, j, g, ws, sm, cov, r = stack[-1]
-            forced = size - last + j - 1
-            for p in children:
-                wc = ws + g[p]
-                bound = wc + r
-                if bound <= best_w or bound < floor:
-                    continue
-                if p == forced and j + 1 < last:
-                    w = mask_weight(cov | tail_cov[p])
-                    if w > best_w:
-                        best_w, best = w, sm | tail_bits[p]
-                    continue
-                gc = g[:]
-                new = incs[p] & ~cov
-                while new:
-                    low = new & -new
-                    a, b, w = ends[low.bit_length() - 1]
-                    gc[a] -= w
-                    gc[b] -= w
-                    new ^= low
-                if j + 1 == last:
-                    tail = gc[p + 1:size]
-                    top = max(tail)
-                    if wc + top > best_w:
-                        best_w = wc + top
-                        best = sm | bits[p] | bits[p + 1 + tail.index(top)]
-                    continue
-                rest = last - j
-                tops = sorted(gc[p + 1:size], reverse=True)[:rest]
-                bound = wc + sum(tops)
-                if bound <= best_w or bound < floor:
-                    continue
-                stack.append((iter(range(p + 1, size - rest + 1)), j + 1, gc,
-                              wc, sm | bits[p], cov | incs[p],
-                              bound - wc - tops[-1]))
-                break
-            else:
+    ends = [(pos[l], pos[inst.n_left + r], w) for l, r, w in inst.edges]
+    top = [gains[v] for v in order]
+    bits = [1 << v for v in order]
+    incs = [inst._inc[v] & not_cov for v in order]
+    reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
+    best, best_w, _ = _greedy_picks(inst, gains, covered, budget)
+    # a frame: (its children's positions, their size, gains, weight of S,
+    # S, S's new cover, r)
+    stack = [(iter(range(size - budget + 1)), 1, top + [0], 0, 0, 0,
+              sum(top[:budget - 1]))] if budget else []
+    while stack:
+        children, j, g, ws, sm, cov, r = stack[-1]
+        rest = budget - j
+        for p in children:
+            bound = ws + top[p] + r
+            if bound < best_w:
                 stack.pop()
+                break
+            um = sm | bits[p]
+            if ((bound == best_w or best_w == reach)
+                    and _loses_tie(inst, um, banned, budget, best)):
+                continue
+            wc = ws + g[p]
+            if rest == 0:
+                if wc > best_w or wc == best_w and _lex_less(um, best):
+                    best_w, best = wc, um
+                continue
+            gc = g[:]
+            new = incs[p] & ~cov
+            while new:
+                low = new & -new
+                a, b, w = ends[low.bit_length() - 1]
+                gc[a] -= w
+                gc[b] -= w
+                new ^= low
+            tops = sorted(gc[p + 1:size], reverse=True)[:rest]
+            bound = wc + sum(tops)
+            if (bound < best_w or bound == best_w
+                    and _loses_tie(inst, um, banned, budget, best)):
+                continue
+            stack.append((iter(range(p + 1, size - rest + 1)), j + 1, gc,
+                          wc, um, cov | incs[p], bound - wc - tops[-1]))
+            break
+        else:
+            stack.pop()
     cover = covered | inst.cover_mask(v for v in allowed if best >> v & 1)
-    return best, mask_weight(cover & not_cov), cover
+    return best, inst.mask_weight(cover & not_cov), cover
 
 
 def _top_block(inst, side: Side, l: int, gains: list):
@@ -567,10 +553,6 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
     depth = min(c, budget)
 
-    def loses_tie(sm):
-        first, _ = _pad_mask(inst, sm, banned, budget, 0)
-        return not _lex_less(first, best_vm)
-
     def grow(start, j, sm, cov_s, g_s, ws_s, r_s):
         # the children U = S + order[i], i >= start, have j members each
         rest = budget - j
@@ -579,7 +561,8 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
             if bound < best_w or bound < floor:
                 break
             um, cov_u = sm | bits[i], cov_s | incs[i]
-            if (bound == best_w or best_w == reach) and loses_tie(um):
+            if ((bound == best_w or best_w == reach)
+                    and _loses_tie(inst, um, banned, budget, best_vm)):
                 continue
             cm = covered | cov_u
             if rest == 0:
@@ -602,7 +585,8 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
             r_u = sum(tops)
             bound = ws + r_u
             if (bound < best_w or bound < floor
-                    or bound == best_w and loses_tie(um)):
+                    or bound == best_w
+                    and _loses_tie(inst, um, banned, budget, best_vm)):
                 continue
             if seeded:
                 rm, rw, cov_r = _greedy_picks(inst, g[:] if j < depth else g,
@@ -699,9 +683,9 @@ def solve_exact(inst: BipartiteInstance,
                 enumeration_budget: int = ORACLE_BUDGET) -> CoverSolution:
     """Exact oracle: the k-subset of maximum covered weight, ties to the
     lexicographically smallest vertex set.  Small instances value every
-    k-subset; larger ones find the same set by a depth-first branch and
-    bound over the subsets in lexicographic order.  Refuses instances with
-    more than `enumeration_budget` k-subsets, whichever way it runs."""
+    k-subset; larger ones find the same set by alg2's small-set search run
+    to the full budget with no base runs.  Refuses instances with more
+    than `enumeration_budget` k-subsets, whichever way it runs."""
     return _mask_solution(
         inst, *_exact_masked(inst, 0, 0, inst.k, enumeration_budget)[:2])
 

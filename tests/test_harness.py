@@ -530,6 +530,25 @@ def test_cli_oracle_budget_below_one_is_a_usage_error(tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("small_n", ["-3", "0", "1"])
+def test_cli_verify_small_n_below_two_is_a_usage_error(capsys, small_n):
+    # below a pair of vertices the sweep would check nothing and pass
+    assert main(["verify", "--small-n", small_n]) == 64
+    captured = capsys.readouterr()
+    assert (f"argument --small-n: must be >= 2, got {small_n}"
+            in captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("names", ["", " , "])
+def test_cli_bench_without_solvers_is_a_usage_error(tmp_path, capsys, names):
+    _write_k22(tmp_path)
+    assert main(["bench", str(tmp_path), "--solvers", names]) == 64
+    captured = capsys.readouterr()
+    assert "argument --solvers: must name at least one solver" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_checks_every_battery_solver_with_a_rho(monkeypatch):
     import mkvc.corpus as corpus
     assert corpus.BATTERY_RHOS == {

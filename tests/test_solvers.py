@@ -605,6 +605,12 @@ def test_exact_search_is_not_recursive_at_budget_depth():
     inst = BipartiteInstance(600, 600, [(l, r, rng.randint(1, 9))
                                         for l, r in pairs], 1199)
     _assert_exact_paths_agree(inst, 0, 0, inst.k)
+    # near k = n: C(60, 57) = 34,220 sets, 180 of the 900 pairs joined
+    rng = random.Random(7)
+    inst = BipartiteInstance(30, 30, [(e // 30, e % 30, rng.randint(1, 100))
+                                      for e in sorted(rng.sample(range(900),
+                                                                 180))], 57)
+    _assert_exact_paths_agree(inst, 0, 0, inst.k)
 
 
 @pytest.mark.parametrize("n_left, k", [(4, 2), (6, 4)],
