@@ -17,7 +17,9 @@ from fractions import Fraction
 from .errors import MkvcError
 from .graph import BipartiteInstance, covered_weight
 
-_SQRT_SCALE = 10 ** 40
+# the grid that deep ratios are rounded down to: schedule levels, square
+# roots and the guarantees of long amplifier chains
+RATIO_SCALE = 10 ** 40
 _MAX_LEVELS = 1_000_000
 
 
@@ -32,15 +34,20 @@ def _rho(x) -> Fraction:
     return rho
 
 
+def floor_at(x: Fraction, scale: int) -> tuple:
+    """x rounded down to a multiple of 1/scale, as (numerator, scale)."""
+    return x.numerator * scale // x.denominator, scale
+
+
 def sqrt_bounds(x) -> tuple:
     """Rational lower/upper bounds of sqrt(x), each within 1/10**40."""
     x = _frac(x)
     if x < 0:
         raise MkvcError("square root of a negative value")
-    s2 = _SQRT_SCALE * _SQRT_SCALE
+    s2 = RATIO_SCALE * RATIO_SCALE
     lo = math.isqrt(x.numerator * s2 // x.denominator)
     hi = math.isqrt(-((-x.numerator * s2) // x.denominator)) + 1
-    return Fraction(lo, _SQRT_SCALE), Fraction(hi, _SQRT_SCALE)
+    return Fraction(lo, RATIO_SCALE), Fraction(hi, RATIO_SCALE)
 
 
 def improve_ratio(rho) -> Fraction:
@@ -140,8 +147,7 @@ def ptas_schedule(rho0, epsilon) -> Schedule:
     while r < target:
         if len(levels) >= _MAX_LEVELS:
             raise MkvcError("schedule does not converge within the level cap")
-        r = improve_ratio(r)
-        r = Fraction(r.numerator * _SQRT_SCALE // r.denominator, _SQRT_SCALE)
+        r = Fraction(*floor_at(improve_ratio(r), RATIO_SCALE))
         levels.append(r)
 
     if eps < Fraction(1, 2):

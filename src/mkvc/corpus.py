@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .analysis import improve_ratio, prop1_sweep
+from .analysis import floor_at, improve_ratio, prop1_sweep
 from .generate import GenKind, GenSpec, generate
 from .graph import BipartiteInstance, Side, covered_weight
 from .solvers import (
@@ -22,16 +22,11 @@ from .solvers import (
 )
 
 
-def _floor_at(x: Fraction, scale: int) -> tuple:
-    """x rounded down to a multiple of 1/scale, as (numerator, scale)."""
-    return x.numerator * scale // x.denominator, scale
-
-
 # the sweep's floors, each rounded down from the ratio it stands for:
 # greedy's rho (itself below 1 - 1/e) to hundredths, and one amplification
 # pass over that rho, the amplifier's empirical floor, to 10**-5
-GREEDY_FLOOR = _floor_at(GREEDY_RHO, 100)
-ALG2_FLOOR = Fraction(*_floor_at(improve_ratio(GREEDY_RHO), 10 ** 5))
+GREEDY_FLOOR = floor_at(GREEDY_RHO, 100)
+ALG2_FLOOR = Fraction(*floor_at(improve_ratio(GREEDY_RHO), 10 ** 5))
 CHUNK_GRAPHS = 2048                # graph masks per exhaustive-sweep task
 
 # each violation count of a sweep aggregate and its `mkvc verify` line
@@ -45,6 +40,8 @@ SWEEP_CHECKS = {
     "alg2_vs_greedy": "amplifier never below greedy",
     "prop1": "remaining-optimum identity sweep",
 }
+# the counts that check_solution fills, for any one solver's solution
+SOLUTION_CHECKS = ("feasibility", "self_consistency", "dominance", "rho")
 
 
 _GREEDY = SolverSpec(SolverKind.GREEDY)
@@ -109,6 +106,23 @@ def _note(agg, key, text):
         agg["examples"].append(text)
 
 
+def check_solution(inst, agg, tag, name, sol, want, opt, rho) -> None:
+    """Fold solver `name`'s solution into the SOLUTION_CHECKS counts: `want`
+    vertices, its value recomputed, at most the oracle's `opt` and, unless
+    rho is None, at least rho = (numerator, denominator) of it."""
+    value = sol.covered_weight
+    if len(sol.vertices) != want:
+        _note(agg, "feasibility", f"{tag}: {name} returned "
+              f"{len(sol.vertices)} vertices, wanted {want}")
+    if covered_weight(inst, sol.vertices) != value:
+        _note(agg, "self_consistency", f"{tag}: {name} value mismatch")
+    if value > opt:
+        _note(agg, "dominance", f"{tag}: {name} {value} > opt {opt}")
+    if rho is not None and value * rho[1] < rho[0] * opt:
+        _note(agg, "rho", f"{tag}: {name} {value} "
+              f"< {rho[0]}/{rho[1]} of opt {opt}")
+
+
 def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
     """Run the battery on one instance and fold results into the aggregate."""
     k = inst.k
@@ -128,17 +142,8 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
     battery.append(("alg2", a2, k))
 
     for name, sol, want in battery:
-        if len(sol.vertices) != want:
-            _note(agg, "feasibility", f"{tag}: {name} returned "
-                  f"{len(sol.vertices)} vertices, wanted {want}")
-        if covered_weight(inst, sol.vertices) != sol.covered_weight:
-            _note(agg, "self_consistency", f"{tag}: {name} value mismatch")
-        if sol.covered_weight > opt:
-            _note(agg, "dominance", f"{tag}: {name} {sol.covered_weight} > opt {opt}")
-        rho = BATTERY_RHOS.get(name)
-        if rho is not None and sol.covered_weight * rho[1] < rho[0] * opt:
-            _note(agg, "rho", f"{tag}: {name} {sol.covered_weight} "
-                  f"< {rho[0]}/{rho[1]} of opt {opt}")
+        check_solution(inst, agg, tag, name, sol, want, opt,
+                       BATTERY_RHOS.get(name))
 
     if GREEDY_FLOOR[1] * g.covered_weight < GREEDY_FLOOR[0] * opt:
         _note(agg, "greedy_floor", f"{tag}: greedy {g.covered_weight} vs opt {opt}")

@@ -10,10 +10,21 @@ exist only in memory (see generate) and must be scaled before writing.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from .errors import MkvcError, ParseError
 from .graph import BipartiteInstance
+
+
+def _int_error(lineno: int, fields, line_kind: str) -> ParseError:
+    """Why int() refused one of the fields: it also refuses a digit string
+    longer than the interpreter's limit (none before Python 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(field) > limit for field in fields):
+        return ParseError(lineno, f"field too long in {line_kind} line "
+                          f"(over {limit} digits)")
+    return ParseError(lineno, f"non-integer field in {line_kind} line")
 
 
 def read_instance(path) -> BipartiteInstance:
@@ -41,7 +52,7 @@ def read_instance(path) -> BipartiteInstance:
                 try:
                     n_left, n_right, m_expected, k = map(int, fields[2:])
                 except ValueError:
-                    raise ParseError(lineno, "non-integer field in problem line")
+                    raise _int_error(lineno, fields[2:], "problem")
                 if n_left < 1 or n_right < 1:
                     raise ParseError(lineno, "side sizes must be >= 1")
                 if m_expected < 0:
@@ -60,7 +71,7 @@ def read_instance(path) -> BipartiteInstance:
                 try:
                     l, r, w = map(int, fields[1:])
                 except ValueError:
-                    raise ParseError(lineno, "non-integer field in edge line")
+                    raise _int_error(lineno, fields[1:], "edge")
                 if not 0 <= l < header[0] or not 0 <= r < header[1]:
                     raise ParseError(lineno, f"edge ({l},{r}) out of range")
                 if w < 0:

@@ -18,6 +18,20 @@ from .errors import MkvcError
 from .graph import BipartiteInstance
 
 
+# the most bits that n**ell may take, judged as ell times the bit length of
+# n; the scaled weights, their sums and the transfer guarantee then stay
+# far inside Python's 4,300-digit limit on int-to-string conversion
+MAX_SCALE_BITS = 10_000
+
+
+def _check_ell(n: int, ell: int) -> None:
+    if ell < 3:
+        raise MkvcError("ell must be >= 3")
+    if ell * n.bit_length() > MAX_SCALE_BITS:
+        raise MkvcError(f"ell={ell} too large for n={n}: ell times the bit "
+                        f"length of n must be at most {MAX_SCALE_BITS}")
+
+
 @dataclass(frozen=True)
 class ReductionReceipt:
     ell: int
@@ -36,8 +50,7 @@ def scale_weights(inst: BipartiteInstance, ell: int) -> tuple:
     Topology and budget are unchanged.  Requires at least one positive
     weight; raises "degenerate instance" when w_max == 0.
     """
-    if ell < 3:
-        raise MkvcError("ell must be >= 3")
+    _check_ell(inst.n, ell)
     if inst.m == 0:
         raise MkvcError("degenerate instance: no edges to scale")
     w_max = max(w for _, _, w in inst.edges)
@@ -60,6 +73,5 @@ def ratio_transfer(rho, n: int, ell: int) -> Fraction:
     solved with ratio rho: rho - 1/(4*n**(ell-2))."""
     if n < 2:
         raise MkvcError("n must be >= 2")
-    if ell < 3:
-        raise MkvcError("ell must be >= 3")
+    _check_ell(n, ell)
     return Fraction(rho) - Fraction(1, 4 * n ** (ell - 2))

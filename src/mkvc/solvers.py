@@ -54,13 +54,17 @@ from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .analysis import improve_ratio, secondary_bounds
+from .analysis import RATIO_SCALE, floor_at, improve_ratio, secondary_bounds
 from .errors import MkvcError
 from .graph import BipartiteInstance, CoverSolution, Side
 
 ORACLE_BUDGET = 2_000_000
 # the oracle enumerates up to this many k-subsets flat, and searches beyond
 EXACT_FLAT_MAX = 200
+
+# each level of a ptas chain runs its base about three stack frames deeper,
+# so this keeps a chain well inside Python's default recursion limit
+MAX_PTAS_DEPTH = 200
 
 # exact rational lower bound of 1 - 1/e = 0.6321205..., truncated downward
 GREEDY_RHO = Fraction(632_120, 1_000_000)
@@ -423,7 +427,12 @@ def _alg2_rho(spec: SolverSpec, base: RatedSolver) -> Fraction | None:
     if base.rho is None:
         return None
     # the least case bound: below 3/4, (1+3rho)/(5-rho) is under improve_ratio
-    return min(improve_ratio(base.rho), *secondary_bounds(base.rho))
+    rho = min(improve_ratio(base.rho), *secondary_bounds(base.rho))
+    # from 3/4 on that is improve_ratio, whose denominator's digits double
+    # per level; every case bound rises with rho, so rounding down is sound
+    if rho.denominator > RATIO_SCALE:
+        rho = Fraction(*floor_at(rho, RATIO_SCALE))
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +630,8 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     and the sum of its top ones, which bound C before C's own edges are
     walked.  The result is that of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
-    secondary_bounds(base.rho); None over a base without a guarantee.
+    secondary_bounds(base.rho), rounded down to a multiple of 10**-40 when
+    its denominator exceeds 10**40; None over a base without a guarantee.
     """
     return _mask_solution(inst, *_alg2_masked(inst, c, base, 0, 0, inst.k)[:2])
 
@@ -636,8 +646,8 @@ def _ptas_chain(epsilon, base: RatedSolver, max_depth: int, c: int):
     # where depth 0 already meets any target
     if not 0 < eps < (1 - base.rho or 1):
         raise MkvcError("epsilon out of admissible range")
-    if max_depth < 1:
-        raise MkvcError("max_depth must be >= 1")
+    if not 1 <= max_depth <= MAX_PTAS_DEPTH:
+        raise MkvcError(f"max_depth must lie in [1, {MAX_PTAS_DEPTH}]")
     solver, depth = base, 0
     while solver.rho < 1 - eps and depth < max_depth:
         solver = _rated(SolverSpec(SolverKind.ALG2, base=solver.spec, c=c),
@@ -653,9 +663,10 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     level's least case bound) reaches 1-epsilon or the depth cap is hit.
 
     Each level multiplies the running time by roughly the amplifier's own
-    cost, so max_depth (default 2) is the practical knob; when the cap
-    stops the chain short of the target the achieved guarantee is reported
-    in the solution metadata and a warning is emitted.
+    cost, so max_depth (default 2, at most MAX_PTAS_DEPTH) is the
+    practical knob; when the cap stops the chain short of the target the
+    achieved guarantee is reported in the solution metadata and a warning
+    is emitted.
     """
     return _run_chain(inst, epsilon, _ptas_chain(epsilon, base, max_depth, c),
                       stacklevel=3)

@@ -3,10 +3,13 @@
 The criteria call the check functions behind `mkvc verify` on their own,
 larger inputs and fail on any `FAIL` line, so every clause has one
 implementation: criteria 1-3 and 7 read the sweep aggregates through
-`verify.sweep_lines` (one line per `corpus.SWEEP_CHECKS` entry), and
-criteria 4-6 call `check_ratio_formulas`, `check_schedule` and
-`check_reduction`.  Criterion 4's minimality clause, true exactly on
-[3/4, 1], is documented there and in the README's known-defect note.
+`verify.sweep_lines` (one line per `corpus.SWEEP_CHECKS` entry),
+criterion 1's ptas clause and criterion 8 hold one solver against the
+oracle through the sweep's own per-solution check,
+`corpus.check_solution`, and criteria 4-6 call `check_ratio_formulas`,
+`check_schedule` and `check_reduction`.  Criterion 4's minimality
+clause, true exactly on [3/4, 1], is documented there and in the
+README's known-defect note.
 
 Criteria 1-3 and 7 share two session-scoped sweeps: the exhaustive battery
 over every unweighted bipartite graph with n <= 8 (every budget k < n) and
@@ -26,15 +29,13 @@ from fractions import Fraction
 
 import pytest
 
-from mkvc import (
-    run_matrix, solve_exact, solve_ptas, solve_semiregular_exact, write_csv,
-)
+from mkvc import run_matrix, solve_exact, write_csv
 from mkvc.corpus import (
-    check_chunk, merge_aggregates, new_aggregate, ordered_shapes,
-    random_weighted_corpus, rational_corpus, semiregular_corpus, sweep_chunk,
-    sweep_tasks, unweighted_instance,
+    SOLUTION_CHECKS, check_chunk, check_solution, merge_aggregates,
+    new_aggregate, ordered_shapes, random_weighted_corpus, rational_corpus,
+    semiregular_corpus, sweep_chunk, sweep_tasks, unweighted_instance,
 )
-from mkvc.solvers import SolverKind, SolverSpec, build_solver, greedy_solver
+from mkvc.solvers import SolverKind, SolverSpec, build_solver
 from mkvc.verify import (
     alg2_floor_line, check_ratio_formulas, check_reduction, check_schedule,
     format_line, run_verification, status_line, sweep_lines,
@@ -91,10 +92,26 @@ def _combined(*aggs):
     return total
 
 
-def _ptas_failures():
+def _oracle_line(spec, cases, claim):
+    """`claim` as one line: the spec's solution on every (id, instance)
+    case, held against the oracle by `corpus.check_solution` at the rho
+    the solver advertises."""
+    solver, agg = build_solver(spec), new_aggregate()
+    rho = solver.rho.numerator, solver.rho.denominator
+    with warnings.catch_warnings():     # a ptas depth cap warns
+        warnings.simplefilter("ignore")
+        for iid, inst in cases:
+            agg["pairs"] += 1
+            check_solution(inst, agg, iid, solver.label(), solver.run(inst),
+                           inst.k, solve_exact(inst).covered_weight, rho)
+    detail = [f"{agg['pairs']} (instance, k) pairs", *agg["examples"][:3]]
+    return status_line(not any(agg[key] for key in SOLUTION_CHECKS), claim,
+                       "; ".join(detail))
+
+
+def _ptas_cases():
     """The bootstrapped scheme is depth-limited by construction, so its
-    feasibility, dominance and rho run uses the exhaustive n <= 5 graphs
-    plus a random sub-corpus at depth 2."""
+    cases are the exhaustive n <= 5 graphs plus a random sub-corpus."""
     cases = [(f"u{nl}x{nr}/g{gmask}/k{k}",
               unweighted_instance(nl, nr, gmask, k))
              for nl, nr in ordered_shapes(5)
@@ -102,36 +119,20 @@ def _ptas_failures():
     for iid, inst in random_weighted_corpus(30, seed=77):
         cases.append((iid, inst.with_budget(min(inst.k, 3)) if inst.n > 9
                       else inst))
-    rho = build_solver(SolverSpec(
-        SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
-        epsilon=Fraction(1, 10), max_depth=2)).rho
-    num, den = rho.numerator, rho.denominator
-    bad = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for iid, inst in cases:
-            sol = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 2)
-            opt = solve_exact(inst).covered_weight
-            if (len(sol.vertices) != inst.k or sol.covered_weight > opt
-                    or sol.covered_weight * den < num * opt):
-                bad.append(iid)
-    return len(cases), bad
+    return cases
 
 
 def test_criterion_1_feasibility_and_oracle_dominance(exhaustive_sweep,
                                                       random_sweep):
     agg = _combined(exhaustive_sweep, random_sweep)
     t0 = time.perf_counter()
-    cases, ptas_bad = _ptas_failures()
+    ptas_line = _oracle_line(
+        SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+                   epsilon=Fraction(1, 10), max_depth=2), _ptas_cases(),
+        "ptas at depth 2 feasible, within the oracle and at least rho of it")
     elapsed = (exhaustive_sweep["elapsed"] + random_sweep["elapsed"]
                + time.perf_counter() - t0)
-    lines = sweep_lines(agg, ("feasibility", "self_consistency", "dominance",
-                              "rho"))
-    lines.append(status_line(
-        not ptas_bad, "ptas at depth 2 feasible, within the oracle and at "
-        "least rho of it",
-        f"{cases} (instance, k) pairs"
-        + "".join(f"; {iid}" for iid in ptas_bad[:3])))
+    lines = sweep_lines(agg, SOLUTION_CHECKS) + [ptas_line]
     timing = f"{elapsed:.0f}s wall on {WORKERS} workers"
     if os.cpu_count() and os.cpu_count() >= 8:
         lines.append(status_line(elapsed < 600,
@@ -174,16 +175,10 @@ def test_criterion_7_remaining_optimum_sweep(exhaustive_sweep, random_sweep):
 
 
 def test_criterion_8_semiregular_exactness():
-    bad = []
-    corpus = semiregular_corpus(100)
-    for iid, inst in corpus:
-        closed = solve_semiregular_exact(inst)
-        opt = solve_exact(inst).covered_weight
-        if closed.covered_weight != opt or len(closed.vertices) != inst.k:
-            bad.append(iid)
-    report(8, [status_line(not bad, "closed form equals the oracle on "
-                           "generated side-regular instances",
-                           f"{len(corpus)} instances, {len(bad)} mismatches")])
+    # within the oracle and at least rho = 1 of it: equal to it
+    report(8, [_oracle_line(SolverSpec(SolverKind.SEMI_REGULAR),
+                            semiregular_corpus(100), "closed form equals the "
+                            "oracle on generated side-regular instances")])
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -19,7 +19,7 @@ from mkvc import (
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
-from mkvc.solvers import GREEDY_RHO
+from mkvc.solvers import GREEDY_RHO, MAX_PTAS_DEPTH
 from mkvc.verify import run_verification
 
 
@@ -146,6 +146,18 @@ def test_missing_header_rejected(tmp_path):
     path = tmp_path / "h.mkvc"
     path.write_text("c nothing here\n")
     with pytest.raises(ParseError, match="missing problem line"):
+        read_instance(path)
+
+
+@pytest.mark.parametrize("text, line, kind", [
+    ("p mkvc 1 1 1 1\ne 0 0 {}\n", 2, "edge"),
+    ("p mkvc 1 1 1 {}\n", 1, "problem")])
+def test_overlong_integer_field_is_named_too_long(tmp_path, text, line, kind):
+    # int() refuses 5,000 digits as it refuses a non-integer
+    path = tmp_path / "long.mkvc"
+    path.write_text(text.format("9" * 5000))
+    with pytest.raises(ParseError, match=f"line {line}: field too long in "
+                       f"{kind} line"):
         read_instance(path)
 
 
@@ -378,6 +390,60 @@ def test_cli_ptas_at_a_tiny_epsilon_runs_at_the_cap(tmp_path, capsys):
                      "--epsilon", "1/10000"])
     assert time.perf_counter() - t0 < 1
     assert code == 0 and "value 4" in capsys.readouterr().out
+
+
+def _write_n8(tmp_path):
+    path = tmp_path / "n8.mkvc"
+    assert main(["gen", "--n-left", "4", "--n-right", "4", "--seed", "1",
+                 "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("options, value", [
+    (["ptas", "--epsilon", "1/1000", "--max-depth", "20"], True),
+    (["ptas", "--epsilon", "1/1000", "--max-depth", "34"], True),
+    (["ptas", "--max-depth", str(MAX_PTAS_DEPTH + 1)], False),
+    (["greedy"], False),
+], ids=["depth20", "depth34", "depth-above-cap", "long-weight"])
+def test_cli_extreme_inputs_print_a_value_or_one_error(tmp_path, options,
+                                                       value):
+    # a deep chain once overflowed the int-to-string limit in its warning
+    # and then the stack, and a long weight the limit in int(); none may
+    # end in a traceback (for a huge --scale-ell see the next test)
+    path = _write_n8(tmp_path)
+    if options == ["greedy"]:
+        path.write_text(f"p mkvc 4 4 1 2\ne 0 0 {'9' * 5000}\n")
+    src = str(Path(mkvc.__file__).resolve().parents[1])
+    t0 = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "mkvc.cli", "solve", str(path), "--algorithm",
+         *options], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - t0 < 10
+    assert "Traceback" not in run.stderr
+    if value:
+        assert run.returncode == 0 and run.stdout.startswith("value 348\n")
+    else:
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith("error: ")
+        assert run.stderr.count("error:") == 1
+
+
+@pytest.mark.parametrize("ell", [5000, 10 ** 9])
+def test_cli_unprintable_scale_ell_is_refused_at_once(tmp_path, capsys, ell):
+    # n = 8: 8^5000 has 4,516 digits, past Python's limit on printing an
+    # int; the cap is judged without building the power, as 8^(10^9)
+    # would take long to build
+    path = _write_n8(tmp_path)
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(["solve", str(path), "--algorithm", "greedy",
+                 "--scale-ell", str(ell)]) == 1
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: ell={ell} too large for n=8: ell times the bit length of n "
+        "must be at most 10000\n")
 
 
 def test_cli_ptas_over_topside_exits_one(tmp_path, capsys):

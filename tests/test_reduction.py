@@ -9,6 +9,7 @@ from mkvc import (
     scale_weights, solve_exact,
 )
 from mkvc.corpus import random_weighted_corpus, rational_corpus
+from mkvc.reduction import MAX_SCALE_BITS
 
 
 def test_scale_hand_computed_example():
@@ -42,6 +43,19 @@ def test_scale_rejects_degenerate():
 def test_scale_rejects_small_ell():
     with pytest.raises(MkvcError, match="ell"):
         scale_weights(BipartiteInstance(2, 2, [(0, 0, 1)], 1), 2)
+
+
+def test_scale_and_transfer_refuse_an_ell_past_the_bit_cap():
+    # n = 4 has bit length 3: ell = 3333 passes the cap, 3334 does not
+    inst = BipartiteInstance(2, 2, [(0, 0, 1)], 1)
+    assert scale_weights(inst, MAX_SCALE_BITS // 3)[0].edges[0][2] == (
+        4 ** (MAX_SCALE_BITS // 3))
+    assert ratio_transfer(1, 4, MAX_SCALE_BITS // 3) < 1
+    for ell in (MAX_SCALE_BITS // 3 + 1, 10 ** 18):
+        with pytest.raises(MkvcError, match="too large"):
+            scale_weights(inst, ell)
+        with pytest.raises(MkvcError, match="too large"):
+            ratio_transfer(1, 4, ell)
 
 
 def test_scale_preserves_topology_and_budget():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 import warnings
@@ -21,9 +22,9 @@ from mkvc.corpus import (
 )
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import (
-    EXACT_FLAT_MAX, GREEDY_RHO, _alg2_masked, _exact_flat, _exact_masked,
-    _exact_search, _gains, _greedy_masked, _lex_less, _pad_mask,
-    _top_side_masked,
+    EXACT_FLAT_MAX, GREEDY_RHO, MAX_PTAS_DEPTH, _alg2_masked, _exact_flat,
+    _exact_masked, _exact_search, _gains, _greedy_masked, _lex_less,
+    _pad_mask, _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -338,6 +339,44 @@ def test_ptas_epsilon_range_checked(k22):
         solve_ptas(k22, Fraction(1, 2), greedy_solver(), 1)
     with pytest.raises(MkvcError, match="admissible"):
         solve_ptas(k22, 0, greedy_solver(), 1)
+
+
+def test_deep_ptas_chain_rounds_its_rho_down_past_a_long_denominator():
+    # from 3/4 on the least case bound is improve_ratio, whose denominator
+    # doubles its digits per level (79 at depth 10); the chain keeps it
+    # exact up to 10**40 and rounds it down beyond, so depth 40 builds fast
+    t0 = time.perf_counter()
+    solver = build_solver(SolverSpec(
+        SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+        epsilon=Fraction(1, 1000), max_depth=40))
+    assert time.perf_counter() - t0 < 1
+    rhos, level = [], solver.chain[0]
+    while level.base is not None:
+        rhos.append(level.rho)
+        level = level.base
+    rhos.reverse()
+    assert solver.chain[1] == len(rhos) == 40
+    assert all(r.denominator <= 10 ** 40 for r in rhos)
+    assert all(a < b < 1 for a, b in zip(rhos, rhos[1:]))
+    exact, rounded = GREEDY_RHO, 0
+    for rho in rhos[:14]:
+        exact = _least_bound(exact)
+        if exact.denominator <= 10 ** 40:
+            assert rho == exact
+        else:
+            rounded += 1
+            assert rho <= exact
+    assert rounded == 5         # depths 10-14
+
+
+def test_ptas_depth_cap_is_refused_above_and_runs_at_its_bound(k22):
+    spec = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+                      epsilon=Fraction(1, 1000), max_depth=MAX_PTAS_DEPTH)
+    with pytest.warns(UserWarning, match=f"clamped to {MAX_PTAS_DEPTH}"):
+        assert build_solver(spec).run(k22).covered_weight == 4
+    for depth in (0, MAX_PTAS_DEPTH + 1):
+        with pytest.raises(MkvcError, match="max_depth must lie in"):
+            build_solver(dataclasses.replace(spec, max_depth=depth))
 
 
 def test_ptas_depth_two_dominates_depth_one():
