@@ -8,6 +8,7 @@ non-reproducible field.
 from __future__ import annotations
 
 import csv
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,10 +66,16 @@ def run_matrix(instances, solvers, oracle: bool = False,
     return records
 
 
-def _fmt(x) -> str:
+def value_text(x) -> str:
+    """`str(x)`, or "" for None.  A value past the interpreter's limit on
+    int-to-string conversion is refused as an MkvcError, not a ValueError."""
     if x is None:
         return ""
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:
+        raise MkvcError("value too long to print (over "
+                        f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 def write_csv(records, fh) -> None:
@@ -78,8 +85,9 @@ def write_csv(records, fh) -> None:
     per_solver = {}
     for rec in records:
         writer.writerow([
-            rec.instance_id, rec.solver, _fmt(rec.value), _fmt(rec.opt),
-            _fmt(rec.ratio), str(round(rec.wall_time * 1000)),
+            rec.instance_id, rec.solver, value_text(rec.value),
+            value_text(rec.opt), value_text(rec.ratio),
+            str(round(rec.wall_time * 1000)),
         ])
         per_solver.setdefault(rec.solver, []).append(rec)
     for solver in sorted(per_solver):
@@ -87,5 +95,5 @@ def write_csv(records, fh) -> None:
         total_ms = round(sum(r.wall_time for r in per_solver[solver]) * 1000)
         mean = sum(ratios, Fraction(0)) / len(ratios) if ratios else None
         for tag, ratio in (("min", min(ratios, default=None)), ("mean", mean)):
-            writer.writerow([f"summary/{tag}", solver, "", "", _fmt(ratio),
-                             str(total_ms)])
+            writer.writerow([f"summary/{tag}", solver, "", "",
+                             value_text(ratio), str(total_ms)])

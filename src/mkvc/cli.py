@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 instance/solver error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bench import run_matrix, write_csv
+from .bench import run_matrix, value_text, write_csv
 from .errors import MkvcError
 from .fileio import read_instance, write_instance
 from .generate import GenKind, GenSpec, generate
@@ -170,17 +171,19 @@ def _cmd_solve(args) -> int:
         scaled, receipt = scale_weights(inst, args.scale_ell)
         sol = solver.run(scaled)
         original_value = covered_weight(inst, sol.vertices)
-        print(f"scaled with {receipt.scale_note}")
-        print(f"scaled_value {sol.covered_weight}")
-        print(f"value {original_value}")
-        print(f"vertices {_format_vertices(sol)}")
         guarantee = ("none" if solver.rho is None
                      else ratio_transfer(solver.rho, inst.n, args.scale_ell))
-        print(f"transfer_guarantee {guarantee}")
+        lines = [f"scaled with {receipt.scale_note}",
+                 f"scaled_value {value_text(sol.covered_weight)}",
+                 f"value {value_text(original_value)}",
+                 f"vertices {_format_vertices(sol)}",
+                 f"transfer_guarantee {guarantee}"]
     else:
         sol = solver.run(inst)
-        print(f"value {sol.covered_weight}")
-        print(f"vertices {_format_vertices(sol)}")
+        lines = [f"value {value_text(sol.covered_weight)}",
+                 f"vertices {_format_vertices(sol)}"]
+    # every line is formatted before the first is printed
+    print("\n".join(lines))
     return 0
 
 
@@ -194,11 +197,14 @@ def _cmd_bench(args) -> int:
     solvers = [build_solver(_solver_spec(name, args)) for name in args.solvers]
     records = run_matrix(instances, solvers, oracle=args.oracle,
                          oracle_budget=args.oracle_budget)
+    # the whole CSV is formatted before any of it is written
+    text = io.StringIO()
+    write_csv(records, text)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
-            write_csv(records, fh)
+            fh.write(text.getvalue())
     else:
-        write_csv(records, sys.stdout)
+        sys.stdout.write(text.getvalue())
     errors = [r for r in records if r.error]
     for rec in errors[:5]:
         print(f"error: {rec.instance_id}/{rec.solver}: {rec.error}",

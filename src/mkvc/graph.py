@@ -7,9 +7,15 @@ which keeps "delete the covered edges" cheap inside the enumeration-heavy
 solvers.  An edge set's weight is one popcount when all weights are
 equal, and otherwise one popcount per bit plane of the weights scaled to
 ints (see `BipartiteInstance.mask_weight`), exact for ints and Fractions.
-The planes are built on first use; with weights up to 100 they take about
-300 bytes at m=100 and 4.5 KB at m=4,500.  Instances are immutable after
-construction.
+The planes are built on first use, from one fixed-width binary row per
+edge: plane b is every width-th character of the joined rows from offset
+b, read as one base-2 int.  With weights up to 100 they take about 300
+bytes at m=100 and 4.5 KB at m=4,500.
+
+`BipartiteInstance(...)` checks every edge it is given.  The file reader
+and `reduction.scale_weights`, whose edges are checked already, build
+through `BipartiteInstance._checked`, which fills the same fields without
+the checks.  Instances are immutable after construction.
 """
 
 from __future__ import annotations
@@ -80,11 +86,7 @@ class BipartiteInstance:
                  edges: Iterable[tuple], k: int):
         if n_left < 0 or n_right < 0:
             raise MkvcError("side sizes must be non-negative")
-        n = n_left + n_right
-        self.n_left = n_left
-        self.n_right = n_right
-        self.k = _check_budget(k, n)
-
+        _check_budget(k, n_left + n_right)
         edge_list = []
         seen = set()
         for l, r, w in edges:
@@ -94,17 +96,35 @@ class BipartiteInstance:
                 raise MkvcError(f"duplicate edge ({l},{r})")
             seen.add((l, r))
             edge_list.append((l, r, _check_weight(w)))
-        self.edges = tuple(edge_list)
-        self.m = len(edge_list)
+        self._fill(n_left, n_right, tuple(edge_list), k)
 
-        inc = [0] * n
-        for eid, (l, r, _) in enumerate(edge_list):
-            bit = 1 << eid
-            inc[l] |= bit
-            inc[n_left + r] |= bit
+    @classmethod
+    def _checked(cls, n_left: int, n_right: int, edges: tuple, k: int,
+                 inc: list | None = None) -> "BipartiteInstance":
+        """An instance on edges a caller has already checked as `__init__`
+        would: endpoints in range, no duplicate, exact non-negative weights,
+        and k in range.  `inc`, if given, is the incidence list of an
+        instance with the same topology, shared as `with_budget` shares it."""
+        new = object.__new__(cls)
+        new._fill(n_left, n_right, edges, k, inc)
+        return new
+
+    def _fill(self, n_left, n_right, edges, k, inc=None):
+        self.n_left = n_left
+        self.n_right = n_right
+        self.k = k
+        self.edges = edges
+        self.m = len(edges)
+        if inc is None:
+            inc = [0] * (n_left + n_right)
+            bit = 1
+            for l, r, _ in edges:
+                inc[l] |= bit
+                inc[n_left + r] |= bit
+                bit <<= 1
         self._inc = inc
         self._full_mask = (1 << self.m) - 1
-        ws = {w for _, _, w in edge_list}
+        ws = {w for _, _, w in edges}
         self._uniform = ws.pop() if len(ws) == 1 else None
         self._planes = None
         self._refs, self._ref_ids = _ref_table(n_left, n_right)
@@ -180,16 +200,17 @@ class BipartiteInstance:
         return total if denominator == 1 else Fraction(total, denominator)
 
     def _build_planes(self):
-        denominator = 1
-        for _, _, w in self.edges:
-            if isinstance(w, Fraction):
-                denominator = lcm(denominator, w.denominator)
-        scaled = [int(w * denominator) for _, _, w in reversed(self.edges)]
+        weights = [w for _, _, w in reversed(self.edges)]
+        denominator = lcm(*{w.denominator for w in weights})
+        # an int is its own numerator, over denominator 1
+        scaled = [w.numerator * (denominator // w.denominator) for w in weights]
         width = max(scaled, default=0).bit_length()
-        # most significant plane first, for Horner's rule in mask_weight
-        planes = tuple(
-            int("".join("1" if s >> b & 1 else "0" for s in scaled), 2)
-            for b in reversed(range(width)))
+        # one fixed-width row per edge, edge m-1 first and the most
+        # significant bit first, so column b of the rows is plane b in
+        # Horner's order for mask_weight, with edge e at bit e
+        row = f"0{width}b"
+        rows = "".join([format(s, row) for s in scaled])
+        planes = tuple(int(rows[b::width], 2) for b in range(width))
         self._planes = (denominator, planes)
 
     def total_weight(self):

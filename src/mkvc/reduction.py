@@ -40,15 +40,15 @@ class ReductionReceipt:
     scale_note: str
 
     def __post_init__(self):
-        if self.ell < 3:
-            raise MkvcError("ell must be >= 3")
+        _check_ell(self.n, self.ell)
 
 
 def scale_weights(inst: BipartiteInstance, ell: int) -> tuple:
     """Return (scaled instance, receipt) with weights ceil(n**ell * w / w_max).
 
-    Topology and budget are unchanged.  Requires at least one positive
-    weight; raises "degenerate instance" when w_max == 0.
+    Topology and budget are unchanged, so the scaled instance shares the
+    source's incidence masks.  Requires at least one positive weight;
+    raises "degenerate instance" when w_max == 0.
     """
     _check_ell(inst.n, ell)
     if inst.m == 0:
@@ -58,8 +58,10 @@ def scale_weights(inst: BipartiteInstance, ell: int) -> tuple:
         raise MkvcError("degenerate instance: all weights are zero")
     n = inst.n
     n_pow = n ** ell
-    scaled = [(l, r, -(-n_pow * w // w_max)) for l, r, w in inst.edges]
-    out = BipartiteInstance(inst.n_left, inst.n_right, scaled, inst.k)
+    # the scaled weights are non-negative ints on the source's checked edges
+    scaled = tuple([(l, r, -(-n_pow * w // w_max)) for l, r, w in inst.edges])
+    out = BipartiteInstance._checked(inst.n_left, inst.n_right, scaled,
+                                     inst.k, inst._inc)
     receipt = ReductionReceipt(
         ell=ell, w_max=w_max, n=n,
         scale_note=f"w -> ceil({n}^{ell} * w / {w_max})",

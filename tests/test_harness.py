@@ -14,13 +14,14 @@ import mkvc.bench
 from mkvc import (
     BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
     VertexRef, build_solver, covered_weight, improve_ratio, read_instance,
-    run_matrix, secondary_bounds, solve_exact, solve_greedy, write_csv,
-    write_instance,
+    run_matrix, scale_weights, secondary_bounds, solve_exact, solve_greedy,
+    write_csv, write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.solvers import GREEDY_RHO, MAX_PTAS_DEPTH
 from mkvc.verify import run_verification
+from reference_reader import reference_read_instance
 
 
 # -- generators ---------------------------------------------------------------
@@ -205,6 +206,171 @@ def test_read_instance_fuzz_returns_or_raises_mkvc_error(tmp_path, data):
     except MkvcError:
         return
     assert isinstance(inst, BipartiteInstance)
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: the instance's shape, budget and
+    edges, or the text of the error it raises."""
+    try:
+        inst = read(path)
+    except MkvcError as exc:
+        return type(exc).__name__, str(exc)
+    return inst.n_left, inst.n_right, inst.k, inst.edges
+
+
+def _assert_reads_as_reference(path):
+    outcome = _read_outcome(read_instance, path)
+    assert outcome == _read_outcome(reference_read_instance, path)
+    return outcome
+
+
+_SPACE = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"])
+
+
+@st.composite
+def valid_instance_bytes(draw):
+    """A well-formed file: comments, blank lines, runs of whitespace
+    between fields, integers spelt `3`, `+3` or `03`, any line ending and
+    trailing blank lines or none.  At times one line is replaced by a
+    line of `_TOKENS` or a stray edge line, or two lines swap, so a
+    fault sits among good lines."""
+    n_left, n_right = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_left - 1),
+                                    st.integers(0, n_right - 1)),
+                          unique=True, max_size=6))
+    k = draw(st.integers(1, n_left + n_right - 1))
+    spell = lambda i: draw(st.sampled_from([str(i), f"+{i}", f"0{i}"]))
+
+    def line(*fields):
+        return (draw(st.sampled_from(["", " ", "\x0c"]))
+                + "".join(f + draw(_SPACE) for f in fields[:-1]) + fields[-1]
+                + draw(st.sampled_from(["", " ", "\t"])))
+
+    lines = [line("p", "mkvc", spell(n_left), spell(n_right),
+                  spell(len(pairs)), spell(k))]
+    lines += [line("e", spell(l), spell(r), spell(draw(st.integers(0, 99))))
+              for l, r in pairs]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "c note", "  c", "\x0b"])))
+    fault = draw(st.sampled_from(["none", "replace", "swap", "edge"]))
+    if fault == "edge":
+        # out of range, negative, a duplicate or an edge too many
+        lines[draw(st.integers(0, len(lines) - 1))] = line(
+            "e", *(str(draw(st.integers(-1, 4))) for _ in range(3)))
+    elif fault == "replace":
+        tokens = draw(st.lists(_TOKENS, max_size=6))
+        lines[draw(st.integers(0, len(lines) - 1))] = (
+            b" ".join(tokens).decode("ascii", "surrogateescape"))
+    elif fault == "swap" and len(lines) > 1:
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2,
+                             max_size=2, unique=True))
+        lines[i], lines[j] = lines[j], lines[i]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    tail = draw(st.sampled_from(["", end, end * 3]))
+    return (end.join(lines) + tail).encode("ascii", "surrogateescape")
+
+
+@given(st.one_of(instance_bytes(), valid_instance_bytes()))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reader_matches_the_line_by_line_reference(tmp_path, data):
+    # the same instance or the same error text, line number included
+    path = tmp_path / "diff.mkvc"
+    path.write_bytes(data)
+    _assert_reads_as_reference(path)
+
+
+_K22_EDGES = ((0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4))
+
+
+@pytest.mark.parametrize("body, outcome", [
+    (b"p mkvc 2 2 4 2\r\ne 0 0 1\r\ne 0 1 2\r\ne 1 0 3\r\ne 1 1 4\r\n",
+     (2, 2, 2, _K22_EDGES)),
+    (b"p mkvc 2 2 4 2\re 0 0 1\re 0 1 2\re 1 0 3\re 1 1 4\r",
+     (2, 2, 2, _K22_EDGES)),
+    (b"p mkvc 2 2 4 2\ne 0 0 1\ne 0 1 2\ne 1 0 3\ne 1 1 4",
+     (2, 2, 2, _K22_EDGES)),
+    # \x0b and \x0c separate fields inside a line and end no line
+    (b"p\x0bmkvc 2 2 4 2\ne 0\x0c0 1\ne 0 1 2\x0b\ne 1 0 3\ne\x0c1 1 4\n",
+     (2, 2, 2, _K22_EDGES)),
+    (b"p mkvc 2 2 5 2\ne 0 0 1\x0b\x0c\ne 0 1 2\n",
+     ("ParseError", "line 4: declared 5 edges, found 2")),
+    # trailing blank lines count towards the line after the last
+    (b"p mkvc 2 2 3 2\ne 0 0 1\n\n \n\t\n",
+     ("ParseError", "line 6: declared 3 edges, found 1")),
+    (b"p mkvc 2 2 3 2\r\ne 0 0 1\r\n\r\n",
+     ("ParseError", "line 4: declared 3 edges, found 1")),
+    (b"p mkvc 2 2 3 2\re 0 0 1\r\r\r",
+     ("ParseError", "line 5: declared 3 edges, found 1")),
+    # two faults: the earlier line wins, whatever kinds they are
+    (b"p mkvc 2 2 2 1\ne 0 0 1\ne 0 0 1\ne 0 1 -1\n",
+     ("ParseError", "line 3: duplicate edge (0,0)")),
+    (b"p mkvc 2 2 2 1\ne 0 0 -1\ne 0 0 1\n",
+     ("ParseError", "line 2: negative weight")),
+    (b"e 0 0 1\np mkvc 2 2 1 1\nq\n",
+     ("ParseError", "line 1: edge line before problem line")),
+    (b"p mkvc 2 2 1 1\ne 0 0 x\ne 0 1 1 \xff\n",
+     ("ParseError", "line 2: non-integer field in edge line")),
+    (b"p mkvc 2 2 1 1\ne 0 1 1 \xff\ne 0 0 x\n",
+     ("ParseError", "line 2: non-ASCII byte")),
+    (b"p mkvc 2 2 1 1\ne 0 0 1\ne 0 1 1\np mkvc 2 2 1 1\n",
+     ("ParseError", "line 3: more edge lines than declared")),
+    # two faults on one line: the reader's checks keep their order
+    (b"p mkvc 2 2 2 1\ne 0 0 1\ne 0 0 -1\n",
+     ("ParseError", "line 3: negative weight")),
+    (b"p mkvc 2 2 2 1\ne 2 0 -1\n",
+     ("ParseError", "line 2: edge (2,0) out of range")),
+    (b"p mkvc 2 2 1 1\ne 0 0 1\ne 0 x\n",
+     ("ParseError", "line 3: more edge lines than declared")),
+    (b"p mkvc 2 2 1 1\ne 0 x\n",
+     ("ParseError", "line 2: expected 'e left right weight'")),
+    (b"p mkvc 2 2 1 x\ne 0 0 1\n",
+     ("ParseError", "line 1: non-integer field in problem line")),
+    (b"p mkvc 0 2 -1 9\n",
+     ("ParseError", "line 1: side sizes must be >= 1")),
+], ids=["crlf", "cr", "no-final-newline", "vt-ff-in-line", "vt-ff-at-end",
+        "trailing-blank-lines", "trailing-crlf", "trailing-cr",
+        "duplicate-before-negative", "negative-before-duplicate",
+        "edge-before-problem", "integer-before-non-ascii",
+        "non-ascii-before-integer", "extra-edge-before-second-problem",
+        "negative-duplicate", "out-of-range-negative", "extra-short-edge",
+        "short-non-integer-edge", "non-integer-problem",
+        "sizes-count-budget"])
+def test_reader_line_endings_and_fault_order(tmp_path, body, outcome):
+    path = tmp_path / "case.mkvc"
+    path.write_bytes(body)
+    assert _assert_reads_as_reference(path) == outcome
+
+
+def _assert_built_alike(inst, edges):
+    """`inst` holds what `BipartiteInstance.__init__` builds on `edges`,
+    its shape and budget, bit planes included."""
+    ref = BipartiteInstance(inst.n_left, inst.n_right, edges, inst.k)
+    for attr in ("n_left", "n_right", "k", "edges", "m", "_inc",
+                 "_full_mask", "_uniform"):
+        assert getattr(inst, attr) == getattr(ref, attr), attr
+    inst._build_planes()
+    ref._build_planes()
+    assert inst._planes == ref._planes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_read_and_scaled_instances_are_built_as_init_builds(tmp_path, seed):
+    rng = random.Random(seed)
+    inst = generate(GenSpec(kind=GenKind.UNIFORM_RANDOM,
+                            n_left=rng.randint(1, 12),
+                            n_right=rng.randint(1, 12), edge_prob=0.4,
+                            weight_max=rng.choice([1, 100, 10 ** 30]),
+                            seed=seed))
+    path = tmp_path / "i.mkvc"
+    write_instance(inst, path)
+    read = read_instance(path)
+    _assert_built_alike(read, list(inst.edges))
+    scaled = scale_weights(read, 3)[0]
+    _assert_built_alike(scaled, list(scaled.edges))
+    path.write_text(f"p mkvc {inst.n_left} {inst.n_right} 0 {inst.k}\n")
+    _assert_built_alike(read_instance(path), [])
 
 
 def test_rational_weights_not_serializable(tmp_path):
@@ -427,6 +593,23 @@ def test_cli_extreme_inputs_print_a_value_or_one_error(tmp_path, options,
         assert run.returncode == 1 and run.stdout == ""
         assert run.stderr.startswith("error: ")
         assert run.stderr.count("error:") == 1
+
+
+def test_cli_value_past_the_print_limit_is_one_error(tmp_path, capsys):
+    # each weight fits int()'s limit, their sum has one digit more; solve
+    # and bench print nothing of it, not a partial CSV or a traceback
+    limit = sys.get_int_max_str_digits()
+    weight = "9" * limit
+    path = tmp_path / "long.mkvc"
+    path.write_text(f"p mkvc 1 2 2 1\ne 0 0 {weight}\ne 0 1 {weight}\n")
+    assert read_instance(path).total_weight() == 2 * int(weight)
+    error = f"error: value too long to print (over {limit} digits)\n"
+    for argv in (["solve", str(path), "--algorithm", "greedy"],
+                 ["bench", str(tmp_path)],
+                 ["bench", str(tmp_path), "-o", str(tmp_path / "out.csv")]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", error)
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("ell", [5000, 10 ** 9])

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from mkvc import (
-    BipartiteInstance, MkvcError, covered_weight, ratio_transfer,
-    scale_weights, solve_exact,
+    BipartiteInstance, MkvcError, ReductionReceipt, covered_weight,
+    ratio_transfer, scale_weights, solve_exact,
 )
 from mkvc.corpus import random_weighted_corpus, rational_corpus
 from mkvc.reduction import MAX_SCALE_BITS
@@ -43,6 +43,17 @@ def test_scale_rejects_degenerate():
 def test_scale_rejects_small_ell():
     with pytest.raises(MkvcError, match="ell"):
         scale_weights(BipartiteInstance(2, 2, [(0, 0, 1)], 1), 2)
+
+
+def test_receipt_refuses_a_small_ell_as_scaling_does():
+    # the receipt takes the rule from the same check as scale_weights
+    inst = BipartiteInstance(2, 2, [(0, 0, 1)], 1)
+    with pytest.raises(MkvcError) as scaling:
+        scale_weights(inst, 2)
+    with pytest.raises(MkvcError) as receipt:
+        ReductionReceipt(ell=2, w_max=1, n=4, scale_note="")
+    assert str(receipt.value) == str(scaling.value) == "ell must be >= 3"
+    assert ReductionReceipt(ell=3, w_max=1, n=4, scale_note="").ell == 3
 
 
 def test_scale_and_transfer_refuse_an_ell_past_the_bit_cap():
