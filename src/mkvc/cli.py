@@ -146,6 +146,15 @@ def _solver_spec(name: str, args) -> SolverSpec:
                       oracle_budget=args.oracle_budget)
 
 
+def _warn_if_clamped(solvers) -> None:
+    # one line for each distinct ptas whose depth cap falls short of 1 - eps
+    for s in dict.fromkeys(solvers):
+        target = 1 - s.spec.epsilon
+        if s.spec.kind is SolverKind.PTAS and s.rho < target:
+            print(f"warning: depth clamped to {s.chain[1]}: guarantee "
+                  f"{s.rho} falls short of target {target}", file=sys.stderr)
+
+
 def _cmd_gen(args) -> int:
     spec = GenSpec(kind=GenKind(args.kind), n_left=args.n_left,
                    n_right=args.n_right, edge_prob=args.edge_prob,
@@ -169,6 +178,7 @@ def _cmd_solve(args) -> int:
     solver = build_solver(_solver_spec(args.algorithm, args))
     if args.scale_ell is not None:
         scaled, receipt = scale_weights(inst, args.scale_ell)
+        _warn_if_clamped([solver])
         sol = solver.run(scaled)
         original_value = covered_weight(inst, sol.vertices)
         guarantee = ("none" if solver.rho is None
@@ -179,6 +189,7 @@ def _cmd_solve(args) -> int:
                  f"vertices {_format_vertices(sol)}",
                  f"transfer_guarantee {guarantee}"]
     else:
+        _warn_if_clamped([solver])
         sol = solver.run(inst)
         lines = [f"value {value_text(sol.covered_weight)}",
                  f"vertices {_format_vertices(sol)}"]
@@ -195,6 +206,7 @@ def _cmd_bench(args) -> int:
         return 1
     instances = [(f.stem, read_instance(f)) for f in files]
     solvers = [build_solver(_solver_spec(name, args)) for name in args.solvers]
+    _warn_if_clamped(solvers)
     records = run_matrix(instances, solvers, oracle=args.oracle,
                          oracle_budget=args.oracle_budget)
     # the whole CSV is formatted before any of it is written

@@ -13,11 +13,12 @@ parent instance with a bitmask of banned vertices and a bitmask of already
 covered edges, so no solver builds a residual instance.  Each algorithm has
 one masked implementation, and its public `solve_*` function is that run
 with nothing banned or covered at budget k, valued by the weight the run
-returns, not again; only ptas (which reports its depth) and the
-semi-regular closed form have public paths of their own.  A masked run also
-takes a trailing `floor` (default -1): the caller will discard any result
-strictly below it.  Only alg2 reads it, to cut small sets that cannot reach
-it; every other kind ignores it, and ptas hands it to its outer amplifier.
+returns, not again; `solve_ptas` runs its table row, which reports the
+chain's depth, and only the semi-regular closed form has a public path of
+its own.  A masked run also takes a trailing `floor` (default -1): the
+caller will discard any result strictly below it.  Only alg2 reads it, to
+cut small sets that cannot reach it; every other kind ignores it, and ptas
+hands it to its outer amplifier.
 Because deletion preserves per-side index order, a masked run and a run on
 the corresponding residual instance pick identical vertices; the tests
 check this for greedy and for alg1 over greedy, exact and top-side bases.
@@ -46,8 +47,7 @@ counts k-subsets on both paths.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -663,31 +663,14 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     level's least case bound) reaches 1-epsilon or the depth cap is hit.
 
     Each level multiplies the running time by roughly the amplifier's own
-    cost, so max_depth (default 2, at most MAX_PTAS_DEPTH) is the
-    practical knob; when the cap stops the chain short of the target the
-    achieved guarantee is reported in the solution metadata and a warning
-    is emitted.
+    cost, so max_depth (at most MAX_PTAS_DEPTH) is the practical knob; the
+    solution metadata reports the executed depth, the target and the
+    achieved guarantee, which falls short of the target when the cap stops
+    the chain.
     """
-    return _run_chain(inst, epsilon, _ptas_chain(epsilon, base, max_depth, c),
-                      stacklevel=3)
-
-
-def _run_chain(inst, epsilon, chain, stacklevel: int) -> CoverSolution:
-    # `stacklevel` names the caller of the public entry point in a warning
-    solver, depth = chain
-    target = 1 - Fraction(epsilon)
-    meta = {
-        "executed_depth": depth,
-        "target_ratio": target,
-        "achieved_ratio_bound": solver.rho,
-    }
-    if solver.rho < target:
-        warnings.warn(
-            f"depth clamped to {depth}: guarantee {solver.rho} "
-            f"falls short of target {target}", stacklevel=stacklevel)
-    sol = solver.run(inst)
-    return CoverSolution(vertices=sol.vertices,
-                         covered_weight=sol.covered_weight, meta=meta)
+    return _rated(SolverSpec(SolverKind.PTAS, base=base.spec, c=c,
+                             epsilon=epsilon, max_depth=max_depth),
+                  base).run(inst)
 
 
 def solve_exact(inst: BipartiteInstance,
@@ -782,8 +765,10 @@ _KINDS = {
                             f"({spec.base.label()})"),
         rho=None,                   # the chain's, set by _rated
         needs_base=True,
-        # warned from here, RatedSolver.run, then its caller
-        run=lambda s, inst: _run_chain(inst, s.spec.epsilon, s.chain, 4),
+        run=lambda s, inst: replace(s.chain[0].run(inst), meta={
+            "executed_depth": s.chain[1],
+            "target_ratio": 1 - Fraction(s.spec.epsilon),
+            "achieved_ratio_bound": s.chain[0].rho}),
         masked=lambda s, inst, banned, covered, budget, floor: (
             s.chain[0].run_masked(inst, banned, covered, budget, floor))),
     SolverKind.EXACT: _Kind(

@@ -514,7 +514,6 @@ def test_cli_solve_with_scaling(tmp_path, capsys):
     assert "transfer_guarantee" in out
 
 
-@pytest.mark.filterwarnings("ignore:depth clamped")
 @pytest.mark.parametrize("depth", [1, 2])
 def test_cli_ptas_transfer_guarantee_is_the_executed_chains(tmp_path, capsys,
                                                             depth):
@@ -535,6 +534,28 @@ def test_cli_ptas_transfer_guarantee_is_the_executed_chains(tmp_path, capsys,
     assert fields["transfer_guarantee"] != "211/240"
 
 
+def test_cli_reports_a_clamped_ptas_depth_in_one_stable_line(tmp_path,
+                                                             capsys):
+    # the line holds no path or source line, so it reads the same wherever
+    # the package is installed; bench reports it once, not once per run
+    path = tmp_path / "d" / "g12.mkvc"
+    path.parent.mkdir()
+    assert main(["gen", "--n-left", "6", "--n-right", "6", "--seed", "3",
+                 "--k", "3", "-o", str(path)]) == 0
+    capsys.readouterr()
+    clamped = ("warning: depth clamped to 2: guarantee 40803/59197 falls "
+               "short of target 9/10\n")
+    assert main(["solve", str(path), "--algorithm", "ptas"]) == 0
+    assert capsys.readouterr() == ("value 836\nvertices L0 L1 L3\n", clamped)
+    assert main(["bench", str(path.parent), "--solvers", "ptas,greedy",
+                 "--oracle"]) == 0
+    assert capsys.readouterr().err == clamped
+    # eps = 1/3 is met at depth 2, so nothing is reported
+    assert main(["solve", str(path), "--algorithm", "ptas",
+                 "--epsilon", "1/3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("algorithm", [
     ["topside"], ["alg1", "--x-size", "1"], ["alg2", "--base", "topside"]],
     ids=["topside", "alg1", "alg2-topside"])
@@ -551,11 +572,13 @@ def test_cli_scaled_solve_without_a_guarantee_prints_none(tmp_path, capsys,
 def test_cli_ptas_at_a_tiny_epsilon_runs_at_the_cap(tmp_path, capsys):
     path = _write_k22(tmp_path)
     t0 = time.perf_counter()
-    with pytest.warns(UserWarning, match="depth clamped to 2"):
-        code = main(["solve", str(path), "--algorithm", "ptas",
-                     "--epsilon", "1/10000"])
+    code = main(["solve", str(path), "--algorithm", "ptas",
+                 "--epsilon", "1/10000"])
     assert time.perf_counter() - t0 < 1
-    assert code == 0 and "value 4" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert code == 0 and "value 4" in out
+    assert err == ("warning: depth clamped to 2: guarantee 40803/59197 "
+                   "falls short of target 9999/10000\n")
 
 
 def _write_n8(tmp_path):
@@ -636,7 +659,6 @@ def test_cli_ptas_over_topside_exits_one(tmp_path, capsys):
     assert "proven guarantee" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:depth clamped")
 @pytest.mark.parametrize("kind", list(SolverKind), ids=lambda k: k.value)
 def test_cli_solve_every_algorithm(tmp_path, capsys, kind):
     if kind == SolverKind.SEMI_REGULAR:
@@ -980,7 +1002,6 @@ def cli_files(tmp_path):
             for key, value in names.items()}
 
 
-@pytest.mark.filterwarnings("ignore:depth clamped")
 @given(st.data())
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import time
-import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -249,10 +248,10 @@ def test_alg2_returns_exactly_k_vertices():
 def test_ptas_depth_one_equals_single_amplifier_pass():
     rng = random.Random(10)
     inst = random_instance(rng, max_side=4)
-    with pytest.warns(UserWarning):
-        got = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 1)
+    got = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 1)
     want = solve_alg2(inst, 3, greedy_solver())
     assert got.vertices == want.vertices
+    assert got.meta["executed_depth"] == 1
 
 
 def test_ptas_with_exact_base_is_optimal(k22):
@@ -261,42 +260,29 @@ def test_ptas_with_exact_base_is_optimal(k22):
     assert sol.meta["executed_depth"] == 0
 
 
-def test_ptas_warns_when_depth_clamped(k22):
-    with pytest.warns(UserWarning, match="falls short"):
-        sol = solve_ptas(k22, Fraction(1, 100), greedy_solver(), 1)
+def test_ptas_metadata_reports_a_clamped_depth(k22):
+    sol = solve_ptas(k22, Fraction(1, 100), greedy_solver(), 1)
     assert sol.meta["achieved_ratio_bound"] < sol.meta["target_ratio"]
     assert sol.meta["executed_depth"] == 1
 
 
-def test_ptas_warns_when_the_proven_chain_falls_short(k22):
+def test_ptas_metadata_reports_when_the_proven_chain_falls_short(k22):
     # one pass proves only (1+3rho)/(5-rho) < 2/3 over greedy and two
-    # reach it, so eps = 1/3 runs two levels silently at cap 2 and warns
-    # at cap 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        two = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 2)
+    # reach it, so eps = 1/3 meets its target at cap 2 and falls short at
+    # cap 1
+    two = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 2)
     assert two.meta["executed_depth"] == 2
     assert two.meta["achieved_ratio_bound"] == Fraction(40803, 59197)
     assert two.meta["achieved_ratio_bound"] >= two.meta["target_ratio"]
-    with pytest.warns(UserWarning, match="depth clamped to 1"):
-        one = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 1)
+    one = solve_ptas(k22, Fraction(1, 3), greedy_solver(), 1)
+    assert one.meta["executed_depth"] == 1
     assert one.meta["achieved_ratio_bound"] == Fraction(72409, 109197)
-
-
-def test_ptas_depth_clamp_warning_names_the_caller(k22):
-    spec = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
-                      epsilon=Fraction(1, 100), max_depth=1)
-    for run in (lambda: solve_ptas(k22, Fraction(1, 100), greedy_solver(), 1),
-                lambda: build_solver(spec).run(k22)):
-        with pytest.warns(UserWarning, match="depth clamped") as record:
-            run()
-        assert record[0].filename == __file__
+    assert one.meta["achieved_ratio_bound"] < one.meta["target_ratio"]
 
 
 def test_ptas_metadata_reports_the_executed_chain():
     inst = BipartiteInstance(3, 3, [(i, j, 1) for i in range(3) for j in range(3)], 2)
-    with pytest.warns(UserWarning):
-        sol = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 2)
+    sol = solve_ptas(inst, Fraction(1, 10), greedy_solver(), 2)
     assert sol.meta == {"executed_depth": 2, "target_ratio": Fraction(9, 10),
                         "achieved_ratio_bound": Fraction(40803, 59197)}
 
@@ -327,10 +313,10 @@ def test_ptas_at_a_tiny_epsilon_runs_at_the_cap(k22):
                       epsilon=eps)
     t0 = time.perf_counter()
     solver = build_solver(spec)
-    with pytest.warns(UserWarning, match="depth clamped to 2"):
-        sol = solve_ptas(k22, eps, greedy_solver(), 2)
+    sol = solve_ptas(k22, eps, greedy_solver(), 2)
     assert time.perf_counter() - t0 < 1
     assert solver.chain[1] == sol.meta["executed_depth"] == 2
+    assert solver.rho == sol.meta["achieved_ratio_bound"] < 1 - eps
     assert sol.covered_weight == 4
 
 
@@ -372,8 +358,9 @@ def test_deep_ptas_chain_rounds_its_rho_down_past_a_long_denominator():
 def test_ptas_depth_cap_is_refused_above_and_runs_at_its_bound(k22):
     spec = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
                       epsilon=Fraction(1, 1000), max_depth=MAX_PTAS_DEPTH)
-    with pytest.warns(UserWarning, match=f"clamped to {MAX_PTAS_DEPTH}"):
-        assert build_solver(spec).run(k22).covered_weight == 4
+    solver = build_solver(spec)
+    assert solver.chain[1] == MAX_PTAS_DEPTH and solver.rho < 1 - spec.epsilon
+    assert solver.run(k22).covered_weight == 4
     for depth in (0, MAX_PTAS_DEPTH + 1):
         with pytest.raises(MkvcError, match="max_depth must lie in"):
             build_solver(dataclasses.replace(spec, max_depth=depth))
@@ -383,10 +370,8 @@ def test_ptas_depth_two_dominates_depth_one():
     rng = random.Random(11)
     for _ in range(6):
         inst = random_instance(rng, max_side=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            two = solve_ptas(inst, Fraction(1, 100), greedy_solver(), 2)
-            one = solve_ptas(inst, Fraction(1, 100), greedy_solver(), 1)
+        two = solve_ptas(inst, Fraction(1, 100), greedy_solver(), 2)
+        one = solve_ptas(inst, Fraction(1, 100), greedy_solver(), 1)
         assert two.covered_weight >= one.covered_weight
 
 
@@ -903,11 +888,7 @@ def test_alg2_and_ptas_outputs_pinned_at_moderate_n():
                "ptas": build_solver(PTAS_GREEDY)}
     for (kind, seed, n, k, density), (ids, value) in PINNED_MODERATE_N.items():
         inst = _seeded_instance(seed, n, k, density)
-        if kind == "ptas":
-            with pytest.warns(UserWarning, match="depth clamped"):
-                sol = solvers[kind].run(inst)
-        else:
-            sol = solvers[kind].run(inst)
+        sol = solvers[kind].run(inst)
         got = tuple(inst.vertex_id(r) for r in sol.sorted_vertices())
         assert (got, sol.covered_weight) == (ids, value), (kind, seed)
 
@@ -938,7 +919,8 @@ def test_semiregular_is_rejected_as_a_base():
                                     for j in range(3)], 2)
     assert semi.run(inst).covered_weight == 6
     for run in (lambda: solve_alg1(inst, 1, semi),
-                lambda: solve_alg2(inst, 3, semi)):
+                lambda: solve_alg2(inst, 3, semi),
+                lambda: solve_ptas(inst, Fraction(1, 10), semi, 2)):
         with pytest.raises(MkvcError, match="cannot be a base"):
             run()
 
@@ -953,13 +935,11 @@ def test_rated_ptas_builds_its_chain_once(monkeypatch):
                                      base=SolverSpec(SolverKind.GREEDY)))
     inst = BipartiteInstance(3, 3, [(i, j, 1 + i + j) for i in range(3)
                                     for j in range(3)], 2)
-    with pytest.warns(UserWarning, match="depth clamped"):
-        sol = solver.run(inst)
+    sol = solver.run(inst)
     assert solver.run_masked(inst, 0, 0, 2)[0] == solver.chain[0].run_masked(
         inst, 0, 0, 2)[0]
     assert len(calls) == 1
-    with pytest.warns(UserWarning, match="depth clamped"):
-        want = solve_ptas(inst, Fraction(1, 5), greedy_solver(), 2)
+    want = solve_ptas(inst, Fraction(1, 5), greedy_solver(), 2)
     assert sol == want and sol.meta == want.meta
 
 
@@ -1017,9 +997,7 @@ def test_every_rated_solver_reaches_its_rho(inst, data):
     inst = inst.with_budget(data.draw(st.integers(0, inst.n - 1)))
     opt = solve_exact(inst).covered_weight
     for solver in RATED_SOLVERS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            value = solver.run(inst).covered_weight
+        value = solver.run(inst).covered_weight
         rho = solver.rho
         assert value * rho.denominator >= rho.numerator * opt, solver.label()
 
