@@ -74,10 +74,12 @@ _small_n = _int_at_least(2)
 def _solver_names(text: str) -> list:
     names = [name.strip() for name in text.split(",") if name.strip()]
     valid = [k.value for k in SolverKind]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in valid:
             raise argparse.ArgumentTypeError(
                 f"unknown solver {name!r} (choose from {', '.join(valid)})")
+        if name in names[:i]:
+            raise argparse.ArgumentTypeError(f"solver {name!r} named twice")
     if not names:
         raise argparse.ArgumentTypeError("must name at least one solver")
     return names
@@ -147,8 +149,8 @@ def _solver_spec(name: str, args) -> SolverSpec:
 
 
 def _warn_if_clamped(solvers) -> None:
-    # one line for each distinct ptas whose depth cap falls short of 1 - eps
-    for s in dict.fromkeys(solvers):
+    # one line for each ptas whose depth cap falls short of 1 - eps
+    for s in solvers:
         target = 1 - s.spec.epsilon
         if s.spec.kind is SolverKind.PTAS and s.rho < target:
             print(f"warning: depth clamped to {s.chain[1]}: guarantee "

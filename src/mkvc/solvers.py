@@ -34,7 +34,10 @@ they order its small vertex sets, and over a greedy base they seed the
 greedy runs, whose traced direct run also yields every reduced-budget run
 and the gains that rank its completions.  Each small set's parent hands
 down its residual gains and the sum of its top ones, which bound every
-child before the child's own edges are walked.
+child before the child's own edges are walked.  Over greedy, each greedy
+path is walked once: a small set's completion stops, offering nothing, at
+a vertex set an earlier greedy run of the same call already passed, and
+once it cannot reach max(incumbent, floor).
 
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
@@ -164,21 +167,31 @@ def _gains(inst, banned: int, covered: int) -> list:
 
 
 def _greedy_picks(inst, gains: list, covered: int, budget: int,
-                  trace: list | None = None):
+                  trace: list | None = None, seen: set | None = None,
+                  chosen: int = 0, need=0):
     """Greedy's pick loop from a `_gains` state, which it consumes.  With a
     `trace` list, the state after every pick but the last is appended to
     it as (chosen, total, cover, gains copy); greedy at a smaller budget
-    is a prefix of that trace."""
+    is a prefix of that trace.  The picks add to `chosen`, the vertex set
+    the gains state belongs to, and the returned set holds it.
+
+    With a `seen` set, the loop stops, returning None, at a set already in
+    `seen` or once its total plus the current largest gain times the picks
+    left is strictly below `need` (gains never rise); every set it passes,
+    the last one too, joins `seen`."""
     inc = inst._inc
     edges = inst.edges
     n_left = inst.n_left
     rem = ~covered
-    chosen = 0
     total = 0
     last = budget - 1
     for step in range(budget):
         # first maximum: Left before Right, then by index
         g = max(gains)
+        if seen is not None:
+            if chosen in seen or total + g * (budget - step) < need:
+                return None
+            seen.add(chosen)
         v = gains.index(g)
         gains[v] = -1
         chosen |= 1 << v
@@ -196,6 +209,10 @@ def _greedy_picks(inst, gains: list, covered: int, budget: int,
             new ^= low
         if trace is not None:
             trace.append((chosen, total, ~rem, gains[:]))
+    if seen is not None:
+        if chosen in seen:
+            return None
+        seen.add(chosen)
     return chosen, total, ~rem
 
 
@@ -265,7 +282,7 @@ def _exact_search(inst, banned: int, covered: int, budget: int):
     budget deep."""
     allowed = [v for v in range(inst.n) if not banned >> v & 1]
     gains = _gains(inst, banned, covered)
-    order = sorted(allowed, key=lambda v: (-gains[v], v))
+    order = sorted(allowed, key=gains.__getitem__, reverse=True)
     size = len(order)
     not_cov = ~covered
     # by position; a banned endpoint's share goes to the spare last slot
@@ -333,7 +350,7 @@ def _top_block(inst, side: Side, l: int, gains: list):
     inc = inst._inc
     vm = em = weight = 0
     for v in sorted((v for v in ids if gains[v] >= 0),
-                    key=lambda v: (-gains[v], v))[:l]:
+                    key=gains.__getitem__, reverse=True)[:l]:
         vm |= 1 << v
         em |= inc[v]
         weight += gains[v]
@@ -513,8 +530,8 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # The base runs at each reduced budget b come with their gains state;
     # greedy's are the first budget - c steps of its traced direct run,
     # which is traced only when such a step exists
+    trace = []
     if seeded and budget > c:
-        trace = []
         bm, bw, cov_b = _greedy_picks(inst, gains[:], covered, budget, trace)
         runs = trace[:budget - c]
     else:
@@ -524,6 +541,10 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
             rm, rw, cov_r = base.run_masked(inst, banned, covered, b)
             runs.append((rm, rw, cov_r, _gains(inst, banned | rm, cov_r)))
     offer(bm, cov_b, bw)
+    # over greedy, every vertex set a greedy path has passed: each leads,
+    # by the deterministic pick rule, to a candidate already offered or
+    # already shown to lie below max(incumbent, floor), which never falls
+    seen = {bm, *(t[0] for t in trace)}
 
     # each reduced run, completed with the top budget - b block of either
     # side, ranked by that run's gains
@@ -554,8 +575,10 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # alone.  The cut is strict, so a run whose value reaches the floor is
     # unchanged by it.  A small set's base run gets max(incumbent, floor)
     # less what S newly covers as its own floor: a completion below that
-    # is discarded here in turn.
-    order = sorted(allowed, key=lambda v: (-gains[v], v))
+    # is discarded here in turn.  Over greedy, the pick loop takes that
+    # floor as `need` and stops below it, or at a set in `seen`.
+    # gain descending; a reversed sort stays stable, so ties keep id order
+    order = sorted(allowed, key=gains.__getitem__, reverse=True)
     top = [gains[v] for v in order]
     bits = [1 << v for v in order]
     incs = [inc[v] for v in order]
@@ -597,13 +620,15 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                     or bound == best_w
                     and _loses_tie(inst, um, banned, budget, best_vm)):
                 continue
+            need = max(best_w, floor) - ws
             if seeded:
-                rm, rw, cov_r = _greedy_picks(inst, g[:] if j < depth else g,
-                                              cm, rest)
+                run = _greedy_picks(inst, g[:] if j < depth else g, cm, rest,
+                                    None, seen, um, need)
             else:
-                rm, rw, cov_r = base.run_masked(inst, banned | um, cm, rest,
-                                                max(best_w, floor) - ws)
-            offer(um | rm, cov_r, ws + rw)
+                run = base.run_masked(inst, banned | um, cm, rest, need)
+            if run is not None:
+                rm, rw, cov_r = run
+                offer(um | rm, cov_r, ws + rw)
             if j < depth:
                 grow(i + 1, j + 1, um, cov_u, g, ws, r_u - tops[-1])
 
@@ -628,7 +653,11 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     after it; either test then holds for every extension of C too, so
     those are skipped with it.  C's parent hands down its residual gains
     and the sum of its top ones, which bound C before C's own edges are
-    walked.  The result is that of the whole pool.
+    walked.  Over greedy, each greedy path is walked once: greedy's pick
+    rule is deterministic, so C's run stops, offering nothing, at a vertex
+    set that the direct run or an earlier C's run has passed, and once
+    what it covers plus its largest gain times the picks left is strictly
+    below the best candidate so far.  The result is that of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
     secondary_bounds(base.rho), rounded down to a multiple of 10**-40 when
     its denominator exceeds 10**40; None over a base without a guarantee.

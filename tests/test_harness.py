@@ -820,6 +820,18 @@ def test_cli_bench_without_solvers_is_a_usage_error(tmp_path, capsys, names):
     assert captured.out == ""
 
 
+def test_cli_bench_naming_a_solver_twice_is_a_usage_error(tmp_path, capsys):
+    # a repeat would write two identical rows under one label and count
+    # the copy in the summary rows
+    _write_k22(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["bench", str(tmp_path), "--solvers", "ptas,greedy,ptas",
+                 "-o", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert "argument --solvers: solver 'ptas' named twice" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_sweep_checks_every_battery_solver_with_a_rho(monkeypatch):
     import mkvc.corpus as corpus
     assert corpus.BATTERY_RHOS == {

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 import time
 from fractions import Fraction
@@ -891,6 +892,100 @@ def test_alg2_and_ptas_outputs_pinned_at_moderate_n():
         sol = solvers[kind].run(inst)
         got = tuple(inst.vertex_id(r) for r in sol.sorted_vertices())
         assert (got, sol.covered_weight) == (ids, value), (kind, seed)
+
+
+class _GreedyPathLog:
+    """Wraps `_alg2_masked` and the greedy pick loop through their module
+    globals.  Within each alg2 call over greedy it records the direct run's
+    set (the pick loop at the call's full budget) and the full vertex set
+    of every completion that ran to the end (a pick loop at a smaller
+    budget, from a state whose negative gains are the banned vertices and
+    the small set)."""
+
+    def __init__(self, monkeypatch):
+        import mkvc.solvers as solvers
+        self.frames = []
+        self.completed = 0
+        alg2, picks = solvers._alg2_masked, solvers._greedy_picks
+        alg2_args = inspect.signature(alg2).bind
+        picks_args = inspect.signature(picks).bind
+
+        def logged_alg2(*args, **kwargs):
+            a = alg2_args(*args, **kwargs).arguments
+            over_greedy = a["base"].spec.kind is SolverKind.GREEDY
+            self.frames.append((over_greedy, a["banned"], a["budget"], [], []))
+            try:
+                got = alg2(*args, **kwargs)
+            finally:
+                frame = self.frames.pop()
+            if over_greedy:
+                self.check(*frame[3:])
+            return got
+
+        def logged_picks(*args, **kwargs):
+            if not self.frames or not self.frames[-1][0]:
+                return picks(*args, **kwargs)
+            _, banned, budget, direct, ends = self.frames[-1]
+            a = picks_args(*args, **kwargs).arguments
+            start = sum(1 << v for v, g in enumerate(a["gains"]) if g < 0)
+            got = picks(*args, **kwargs)
+            if got is not None:
+                full = (start & ~banned) | got[0]
+                (direct if a["budget"] == budget else ends).append(full)
+            return got
+
+        monkeypatch.setattr(solvers, "_alg2_masked", logged_alg2)
+        monkeypatch.setattr(solvers, "_greedy_picks", logged_picks)
+
+    def check(self, direct, ends):
+        assert len(direct) == 1
+        assert direct[0] not in ends
+        assert len(set(ends)) == len(ends)
+        self.completed += len(ends)
+
+
+def test_alg2_over_greedy_walks_each_greedy_path_once(monkeypatch):
+    # greedy's pick rule is deterministic, so two completions that meet a
+    # set end alike; the second stops there and offers nothing
+    log = _GreedyPathLog(monkeypatch)
+    alg2 = build_solver(ALG2_BASES["alg2_greedy"])
+    for (kind, seed, n, k, density), (ids, value) in PINNED_MODERATE_N.items():
+        if kind == "alg2":
+            sol = alg2.run(_seeded_instance(seed, n, k, density))
+            assert sol.covered_weight == value
+    assert log.completed > 0
+
+
+@given(alg2_cases())
+@settings(max_examples=200, deadline=None)
+def test_alg2_over_greedy_walks_each_greedy_path_once_on_masked_runs(case):
+    import mkvc.solvers as solvers
+    inst, banned, covered, c, base = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _GreedyPathLog(monkeypatch)
+        for budget in range(inst.n - banned.bit_count() + 1):
+            solvers._alg2_masked(inst, c, base, banned, covered, budget)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_alg2_floor_changes_only_results_below_it_on_deeper_paths(seed):
+    # n = 24-40, where greedy completions run long enough to stop early
+    rng = random.Random(seed)
+    n = rng.randint(24, 40)
+    inst = _seeded_instance(seed, n, 0, rng.choice([0.2, 0.3]))
+    banned = sum(1 << v for v in range(n) if rng.random() < 0.2)
+    covered = sum(1 << e for e in range(inst.m) if rng.random() < 0.3)
+    free_ids = n - banned.bit_count()
+    base = greedy_solver()
+    for budget in (rng.randint(1, 3), rng.randint(4, 7), rng.randint(8, 10)):
+        budget = min(budget, free_ids)
+        free = _alg2_masked(inst, 3, base, banned, covered, budget, floor=-1)
+        for floor in (free[1] - 1, free[1], free[1] + 1):
+            got = _alg2_masked(inst, 3, base, banned, covered, budget, floor)
+            if floor <= free[1]:
+                assert got == free and type(got[1]) is type(free[1])
+            else:
+                assert got[1] < floor and got[0].bit_count() == budget
 
 
 @given(st.integers(1, 12), st.data())
