@@ -17,8 +17,8 @@ from .analysis import floor_at, improve_ratio, prop1_sweep
 from .generate import GenKind, GenSpec, generate
 from .graph import BipartiteInstance, Side, covered_weight
 from .solvers import (
-    GREEDY_RHO, SolverKind, SolverSpec, build_solver, greedy_solver,
-    solve_alg1, solve_alg2, solve_exact, solve_greedy, solve_top_side,
+    GREEDY_RHO, SolverKind, SolverSpec, build_solver, solve_alg1,
+    solve_alg2, solve_exact, solve_greedy, solve_top_side,
 )
 
 
@@ -57,6 +57,8 @@ BATTERY_RHOS = {
         ("alg1", SolverSpec(SolverKind.ALG1, base=_GREEDY)),
         ("alg2", SolverSpec(SolverKind.ALG2, base=_GREEDY)))
     if (rho := build_solver(spec).rho) is not None}
+# the base of the battery's alg1 and alg2, built once per process
+_GREEDY_BASE = build_solver(_GREEDY)
 
 
 def ordered_shapes(max_n: int):
@@ -126,7 +128,6 @@ def check_solution(inst, agg, tag, name, sol, want, opt, rho) -> None:
 def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
     """Run the battery on one instance and fold results into the aggregate."""
     k = inst.k
-    base = greedy_solver()
     opt_sol = solve_exact(inst)
     opt = opt_sol.covered_weight
     agg["pairs"] += 1
@@ -137,8 +138,8 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
         battery.append((f"topside{side.name[0]}", solve_top_side(inst, side),
                         min(k, inst.side_size(side))))
     battery.append(("alg1", solve_alg1(
-        inst, min(k, inst.n_left, (k + 1) // 2), base), k))
-    a2 = solve_alg2(inst, 3, base)
+        inst, min(k, inst.n_left, (k + 1) // 2), _GREEDY_BASE), k))
+    a2 = solve_alg2(inst, 3, _GREEDY_BASE)
     battery.append(("alg2", a2, k))
 
     for name, sol, want in battery:

@@ -42,10 +42,11 @@ once it cannot reach max(incumbent, floor).
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
 that it runs alg2's small-set search to the full budget with no base runs
-(`_exact_search`): the same order, the same cuts by w(new cover of S) plus
-top budget - |S| residual gains (the submodular bound of Nemhauser,
-Wolsey and Fisher) and the same tie test, from greedy's set.  Its guard
-counts k-subsets on both paths.
+(`_exact_search`): both start from `_search_start` and weigh a child S + v
+as S's weight plus v's residual gain under S; the same cuts by w(new cover
+of S) plus top budget - |S| residual gains (the submodular bound of
+Nemhauser, Wolsey and Fisher) and the same tie test, from greedy's set.
+Its guard counts k-subsets on both paths.
 """
 
 from __future__ import annotations
@@ -263,38 +264,46 @@ def _exact_flat(inst, banned: int, covered: int, budget: int):
     return vm, best_w, covered | best_em
 
 
+def _search_start(inst, banned: int, covered: int):
+    """Both small-set searches' set-up: the gains, the allowed ids by entry
+    gain descending (a reversed sort is stable, so ties keep id order), in
+    that order their gains, bits and incident edges not yet covered, and
+    `reach`, the uncovered weight some allowed vertex touches."""
+    gains = _gains(inst, banned, covered)
+    order = sorted((v for v in range(inst.n) if not banned >> v & 1),
+                   key=gains.__getitem__, reverse=True)
+    not_cov = ~covered
+    return (gains, order, [gains[v] for v in order], [1 << v for v in order],
+            [inst._inc[v] & not_cov for v in order],
+            inst.mask_weight(not_cov & inst.cover_mask(order)))
+
+
 def _exact_search(inst, banned: int, covered: int, budget: int):
     """`_exact_flat`'s triple by alg2's small-set search run to the full
     budget with no base runs, from greedy's set as the first incumbent.
 
-    A node's children add one id after its last in alg2's order (entry
-    gain descending, then id), so each k-subset is one leaf; gains are
-    indexed by position in that order.  A child S + v gets S's residual
-    gains less the edges v newly covers.  Its bound, w(new cover of S + v)
-    plus the top budget - |S| - 1 of them, ranges only over the ids after
-    v: no leaf below it holds an earlier one, and a bound over every id
-    would only be looser.  A child is first cut by S's weight plus its
-    entry gain plus S's `r` (S's bound less its weight and its least top
-    gain), which falls along the order, so the first failure ends the
-    frame.  The other cuts and the tie test are alg2's, and a leaf
-    replaces the incumbent when heavier, or as heavy and lexicographically
-    first.  The frames sit on an explicit stack, since the search is
-    budget deep."""
-    allowed = [v for v in range(inst.n) if not banned >> v & 1]
-    gains = _gains(inst, banned, covered)
-    order = sorted(allowed, key=gains.__getitem__, reverse=True)
+    It starts, as alg2 does, from `_search_start`.  A node's children add
+    one id after its last in alg2's order (entry gain descending, then
+    id), so each k-subset is one leaf; gains are indexed by position in
+    that order.  A child S + v weighs, as in alg2, S's weight plus v's
+    residual gain under S, and gets S's residual gains less the edges v
+    newly covers.  Its bound, that weight plus the top budget - |S| - 1 of
+    those gains, ranges only over the ids after v: no leaf below it holds
+    an earlier one, and a bound over every id would only be looser.  A
+    child is first cut by S's weight plus its entry gain plus S's `r` (S's
+    bound less its weight and its least top gain), which falls along the
+    order, so the first failure ends the frame.  The other cuts and the
+    tie test are alg2's, and a leaf with its cover replaces the incumbent
+    when heavier, or as heavy and lexicographically first.  The frames sit
+    on an explicit stack, since the search is budget deep."""
+    gains, order, top, bits, incs, reach = _search_start(inst, banned, covered)
     size = len(order)
-    not_cov = ~covered
     # by position; a banned endpoint's share goes to the spare last slot
     pos = [size] * inst.n
     for p, v in enumerate(order):
         pos[v] = p
     ends = [(pos[l], pos[inst.n_left + r], w) for l, r, w in inst.edges]
-    top = [gains[v] for v in order]
-    bits = [1 << v for v in order]
-    incs = [inst._inc[v] & not_cov for v in order]
-    reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
-    best, best_w, _ = _greedy_picks(inst, gains, covered, budget)
+    best, best_w, best_cover = _greedy_picks(inst, gains, covered, budget)
     # a frame: (its children's positions, their size, gains, weight of S,
     # S, S's new cover, r)
     stack = [(iter(range(size - budget + 1)), 1, top + [0], 0, 0, 0,
@@ -314,7 +323,7 @@ def _exact_search(inst, banned: int, covered: int, budget: int):
             wc = ws + g[p]
             if rest == 0:
                 if wc > best_w or wc == best_w and _lex_less(um, best):
-                    best_w, best = wc, um
+                    best_w, best, best_cover = wc, um, covered | cov | incs[p]
                 continue
             gc = g[:]
             new = incs[p] & ~cov
@@ -334,8 +343,7 @@ def _exact_search(inst, banned: int, covered: int, budget: int):
             break
         else:
             stack.pop()
-    cover = covered | inst.cover_mask(v for v in allowed if best >> v & 1)
-    return best, inst.mask_weight(cover & not_cov), cover
+    return best, inst.mask_weight(best_cover & ~covered), best_cover
 
 
 def _top_block(inst, side: Side, l: int, gains: list):
@@ -505,14 +513,12 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
 def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     if c <= 2:
         raise MkvcError("c must be > 2")
-    allowed = [v for v in range(inst.n) if not banned >> v & 1]
-    if budget > len(allowed):
+    gains, order, top, bits, incs, reach = _search_start(inst, banned, covered)
+    if budget > len(order):
         raise MkvcError("budget exceeds available vertices")
-    inc = inst._inc
     edges = inst.edges
     n_left = inst.n_left
     not_cov = ~covered
-    gains = _gains(inst, banned, covered)
     seeded = base.spec.kind is SolverKind.GREEDY
     # the running best: the maximum newly covered weight, ties to the
     # lexicographically smallest vertex set, so arrival order is immaterial
@@ -577,12 +583,6 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # less what S newly covers as its own floor: a completion below that
     # is discarded here in turn.  Over greedy, the pick loop takes that
     # floor as `need` and stops below it, or at a set in `seen`.
-    # gain descending; a reversed sort stays stable, so ties keep id order
-    order = sorted(allowed, key=gains.__getitem__, reverse=True)
-    top = [gains[v] for v in order]
-    bits = [1 << v for v in order]
-    incs = [inc[v] for v in order]
-    reach = inst.mask_weight(not_cov & inst.cover_mask(allowed))
     depth = min(c, budget)
 
     def grow(start, j, sm, cov_s, g_s, ws_s, r_s):
@@ -597,20 +597,19 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                     and _loses_tie(inst, um, banned, budget, best_vm)):
                 continue
             cm = covered | cov_u
+            ws = ws_s + g_s[order[i]]
             if rest == 0:
-                offer(um, cm, ws_s + g_s[order[i]])
+                offer(um, cm, ws)
                 continue
-            # U's residual gains are S's, less i's own newly covered
-            # edges; S's members are already -1
+            # U weighs S plus i's residual gain; U's residual gains are
+            # S's, less i's newly covered edges; S's members are already -1
             g = g_s[:]
-            ws = ws_s
-            new = incs[i] & ~cov_s & not_cov
+            new = incs[i] & ~cov_s
             while new:
                 low = new & -new
                 l, r, w = edges[low.bit_length() - 1]
                 g[l] -= w
                 g[n_left + r] -= w
-                ws += w
                 new ^= low
             g[order[i]] = -1
             tops = sorted(g, reverse=True)[:rest]

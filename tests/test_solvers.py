@@ -223,9 +223,11 @@ def test_alg2_rejects_small_c(k22):
 
 def test_alg2_with_c_at_least_k_subsumes_oracle():
     # with c >= k every k-set is a candidate of its own, so over any base
-    # the winner is the lexicographically first optimum: the oracle's set
+    # the winner is the lexicographically first optimum: the oracle's set,
+    # and on a masked run at c >= budget the flat oracle's whole triple
     rng = random.Random(8)
-    for _ in range(15):
+    masks = random.Random(80)
+    for t in range(15):
         inst = random_instance(rng, max_side=4)
         c = max(3, inst.k)
         want = solve_exact(inst)
@@ -233,6 +235,20 @@ def test_alg2_with_c_at_least_k_subsumes_oracle():
             got = solve_alg2(inst, c, build_solver(spec))
             assert got.vertices == want.vertices
             assert got.covered_weight == want.covered_weight
+        # int, mixed-Fraction and uniform-Fraction weights on one topology
+        weight = (lambda w: w, lambda w: Fraction(w, 3),
+                  lambda w: Fraction(2, 3))[t % 3]
+        inst = BipartiteInstance(inst.n_left, inst.n_right,
+                                 [(l, r, weight(w)) for l, r, w in inst.edges],
+                                 inst.k)
+        banned = masks.randint(0, (1 << inst.n) - 1)
+        covered = masks.randint(0, inst._full_mask)
+        for budget in range(inst.n - banned.bit_count() + 1):
+            want = _exact_flat(inst, banned, covered, budget)
+            for spec in ALG2_BASES.values():
+                got = _alg2_masked(inst, max(3, budget), build_solver(spec),
+                                   banned, covered, budget)
+                assert got == want and type(got[1]) is type(want[1])
 
 
 def test_alg2_returns_exactly_k_vertices():
