@@ -31,8 +31,8 @@ weight) and its pick loop (`_greedy_picks`), and the single-side ranking
 Gains are weights everywhere; the fill's popcount for uniform weights is
 the only branch on the weight kind.  alg2 fills the gains once per call:
 they order its small vertex sets, and over a greedy base they seed the
-greedy runs, whose traced direct run also yields every reduced-budget run
-and the gains that rank its completions.  Each small set's parent hands
+greedy runs, whose traced direct run also yields every reduced-budget run;
+each run's own `_gains` rank its completions.  Each small set's parent hands
 down its residual gains and the sum of its top ones, which bound every
 child before the child's own edges are walked.  Over greedy, each greedy
 path is walked once: a small set's completion stops, offering nothing, at
@@ -171,10 +171,10 @@ def _greedy_picks(inst, gains: list, covered: int, budget: int,
                   trace: list | None = None, seen: set | None = None,
                   chosen: int = 0, need=0):
     """Greedy's pick loop from a `_gains` state, which it consumes.  With a
-    `trace` list, the state after every pick but the last is appended to
-    it as (chosen, total, cover, gains copy); greedy at a smaller budget
-    is a prefix of that trace.  The picks add to `chosen`, the vertex set
-    the gains state belongs to, and the returned set holds it.
+    `trace` list, (chosen, total, cover) is appended to it after every
+    pick: entry b - 1 is greedy's masked triple at budget b.  The picks
+    add to `chosen`, the vertex set the gains state belongs to, and the
+    returned set holds it.
 
     With a `seen` set, the loop stops, returning None, at a set already in
     `seen` or once its total plus the current largest gain times the picks
@@ -199,6 +199,8 @@ def _greedy_picks(inst, gains: list, covered: int, budget: int,
         total += g
         new = inc[v] & rem
         rem ^= new
+        if trace is not None:
+            trace.append((chosen, total, ~rem))
         if step == last:
             break
         # the other endpoint of edge (l, r) is l + (n_left + r) - v
@@ -208,8 +210,6 @@ def _greedy_picks(inst, gains: list, covered: int, budget: int,
             l, r, w = edges[low.bit_length() - 1]
             gains[l + r + shift] -= w
             new ^= low
-        if trace is not None:
-            trace.append((chosen, total, ~rem, gains[:]))
     if seen is not None:
         if chosen in seen:
             return None
@@ -533,19 +533,17 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
             best_w, best_vm, best_cover = w, vm, cover
 
     # the direct base run at full budget makes "alg2 >= base" structural.
-    # The base runs at each reduced budget b come with their gains state;
-    # greedy's are the first budget - c steps of its traced direct run,
-    # which is traced only when such a step exists
+    # The base runs at each reduced budget b are masked triples; greedy's
+    # are the first budget - c steps of its traced direct run, which is
+    # traced only when such a step exists
     trace = []
     if seeded and budget > c:
         bm, bw, cov_b = _greedy_picks(inst, gains[:], covered, budget, trace)
         runs = trace[:budget - c]
     else:
         bm, bw, cov_b = base.run_masked(inst, banned, covered, budget)
-        runs = []
-        for b in range(1, budget - c + 1):
-            rm, rw, cov_r = base.run_masked(inst, banned, covered, b)
-            runs.append((rm, rw, cov_r, _gains(inst, banned | rm, cov_r)))
+        runs = [base.run_masked(inst, banned, covered, b)
+                for b in range(1, budget - c + 1)]
     offer(bm, cov_b, bw)
     # over greedy, every vertex set a greedy path has passed: each leads,
     # by the deterministic pick rule, to a candidate already offered or
@@ -553,8 +551,9 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     seen = {bm, *(t[0] for t in trace)}
 
     # each reduced run, completed with the top budget - b block of either
-    # side, ranked by that run's gains
-    for b, (bm, bw, cov_b, g) in enumerate(runs, 1):
+    # side, ranked by that run's residual gains
+    for b, (bm, bw, cov_b) in enumerate(runs, 1):
+        g = _gains(inst, banned | bm, cov_b)
         for side in (Side.LEFT, Side.RIGHT):
             tm, tw, em = _top_block(inst, side, budget - b, g)
             offer(bm | tm, cov_b | em, bw + tw)

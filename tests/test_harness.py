@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mkvc.bench
+import mkvc.corpus as corpus
 from mkvc import (
-    BipartiteInstance, MkvcError, ParseError, Side, SolverKind, SolverSpec,
-    VertexRef, build_solver, covered_weight, improve_ratio, read_instance,
-    run_matrix, scale_weights, secondary_bounds, solve_exact, solve_greedy,
-    write_csv, write_instance,
+    BipartiteInstance, CoverSolution, MkvcError, ParseError, Side, SolverKind,
+    SolverSpec, VertexRef, build_solver, covered_weight, improve_ratio,
+    read_instance, run_matrix, scale_weights, secondary_bounds, solve_exact,
+    solve_greedy, write_csv, write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
@@ -329,6 +331,10 @@ _K22_EDGES = ((0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4))
      ("ParseError", "line 1: non-integer field in problem line")),
     (b"p mkvc 0 2 -1 9\n",
      ("ParseError", "line 1: side sizes must be >= 1")),
+    (b"p mkvc 2 2 0 1\np mkvc 2 2 0 1\n",
+     ("ParseError", "line 2: duplicate problem line")),
+    (b"p mkvc 2 2 -1 1\n",
+     ("ParseError", "line 1: negative edge count")),
 ], ids=["crlf", "cr", "no-final-newline", "vt-ff-in-line", "vt-ff-at-end",
         "trailing-blank-lines", "trailing-crlf", "trailing-cr",
         "duplicate-before-negative", "negative-before-duplicate",
@@ -336,7 +342,7 @@ _K22_EDGES = ((0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4))
         "non-ascii-before-integer", "extra-edge-before-second-problem",
         "negative-duplicate", "out-of-range-negative", "extra-short-edge",
         "short-non-integer-edge", "non-integer-problem",
-        "sizes-count-budget"])
+        "sizes-count-budget", "duplicate-problem", "negative-count"])
 def test_reader_line_endings_and_fault_order(tmp_path, body, outcome):
     path = tmp_path / "case.mkvc"
     path.write_bytes(body)
@@ -846,6 +852,66 @@ def test_sweep_checks_every_battery_solver_with_a_rho(monkeypatch):
     corpus.check_instance(inst, agg, "t")
     assert agg["rho"] == 1
     assert agg["examples"] == ["t: greedy 3 < 1/1 of opt 4"]
+
+
+# L0-R0 of weight 199 and L1-R1 of weight 101, L2 and L3 isolated, k = 4:
+# every battery solver covers all 300; {L0, R0, L2, L3} covers 199, just
+# above alg2's and greedy's rho and below k/n = 2/3 of it
+_TWO_EDGES = BipartiteInstance(4, 2, [(0, 0, 199), (1, 1, 101)], 4)
+
+
+def _ids_solution(inst, *ids):
+    refs = frozenset(map(inst.ref_of, ids))
+    return CoverSolution(vertices=refs,
+                         covered_weight=covered_weight(inst, refs))
+
+
+def _on_side(solve, side, change):
+    """`solve`, with `change` applied to its solution on `side`."""
+    return lambda inst, s: (change(inst, solve(inst, s)) if s is side
+                            else solve(inst, s))
+
+
+def _moved(by):
+    return lambda inst, sol: replace(sol,
+                                     covered_weight=sol.covered_weight + by)
+
+
+@pytest.mark.parametrize("name, fault, fired, examples", [
+    # {L0, L1, L2} covers 300, one vertex short of the left side's 4
+    ("solve_top_side", _on_side(
+        corpus.solve_top_side, Side.LEFT,
+        lambda inst, sol: _ids_solution(inst, 0, 1, 2)),
+     {"feasibility": 1}, ["t: topsideL returned 3 vertices, wanted 4"]),
+    ("solve_top_side", _on_side(corpus.solve_top_side, Side.LEFT, _moved(-1)),
+     {"self_consistency": 1}, ["t: topsideL value mismatch"]),
+    # a value above the oracle is also one that recomputation refutes
+    ("solve_top_side", _on_side(corpus.solve_top_side, Side.RIGHT, _moved(1)),
+     {"self_consistency": 1, "dominance": 1},
+     ["t: topsideR value mismatch", "t: topsideR 301 > opt 300"]),
+    # below 63/100 is below greedy's rho as well, and here below k/n
+    ("solve_greedy", lambda inst: _ids_solution(inst, 1, 2, 3, 5),
+     {"rho": 1, "greedy_floor": 1, "greedy_kn": 1},
+     ["t: greedy 101 < 15803/25000 of opt 300", "t: greedy 101 vs opt 300",
+      "t: greedy below (k/n)*opt"]),
+    ("solve_greedy", lambda inst: _ids_solution(inst, 0, 2, 3, 4),
+     {"greedy_kn": 1}, ["t: greedy below (k/n)*opt"]),
+    ("solve_alg2", lambda inst, c, base: _ids_solution(inst, 0, 2, 3, 4),
+     {"alg2_vs_greedy": 1}, ["t: alg2 199 < greedy 300"]),
+    ("prop1_sweep", lambda inst, O, opt: False,
+     {"prop1": 1}, ["t: remaining-optimum check failed"]),
+], ids=["feasibility", "self-consistency", "dominance", "greedy-floor",
+        "greedy-kn", "alg2-vs-greedy", "prop1"])
+def test_each_sweep_count_fires_on_its_fault(monkeypatch, name, fault, fired,
+                                             examples):
+    agg = corpus.new_aggregate()
+    corpus.check_instance(_TWO_EDGES, agg, "t")
+    assert not any(agg[key] for key in corpus.SWEEP_CHECKS)
+    monkeypatch.setattr(corpus, name, fault)
+    agg = corpus.new_aggregate()
+    corpus.check_instance(_TWO_EDGES, agg, "t")
+    assert {key: agg[key] for key in corpus.SWEEP_CHECKS if agg[key]} == fired
+    assert agg["examples"] == examples
 
 
 def test_cli_verify_passes(capsys):

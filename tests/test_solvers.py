@@ -795,6 +795,38 @@ def test_masked_alg2_matches_pooled_reference(case):
         assert got[1] == want[1] and type(got[1]) is type(want[1])
 
 
+def test_masked_alg2_matches_pooled_reference_on_a_tie_of_full_covers():
+    # K(6, 2) less L1-R1 at k = 7: every 7-set holding L0-L5 covers all 11
+    # edges, and the pool's lex-first one is L0-L5 plus R0.  A reduced run
+    # valued short of what it covers loses that tie
+    inst = BipartiteInstance(6, 2, [(l, r, 1) for l in range(6)
+                                    for r in range(2) if (l, r) != (1, 1)], 1)
+    base = greedy_solver()
+    for budget in range(inst.n + 1):
+        want = _pooled_alg2(inst, 3, base, 0, 0, budget)
+        assert _alg2_masked(inst, 3, base, 0, 0, budget) == want
+
+
+@pytest.mark.parametrize("name", ["greedy", "exact"])
+def test_alg2_ranks_each_reduced_run_by_its_own_gains(monkeypatch, name):
+    # the base run at each budget b = 1 ... k - c, completed with the top
+    # k - b block of either side, ranked by the gains under that run
+    import mkvc.solvers as solvers
+    inst = _seeded_instance(1, 12, 0, 0.3)
+    base, k, c = build_solver(ALG2_BASES[name]), 7, 3
+    blocks = []
+    top_block = solvers._top_block
+    monkeypatch.setattr(solvers, "_top_block", lambda inst, side, l, g: (
+        blocks.append((side, l, g[:])) or top_block(inst, side, l, g)))
+    _alg2_masked(inst, c, base, 0, 0, k)
+    want = []
+    for b in range(1, k - c + 1):
+        bm, _, cov_b = base.run_masked(inst, 0, 0, b)
+        g = _gains(inst, bm, cov_b)
+        want += [(Side.LEFT, k - b, g), (Side.RIGHT, k - b, g)]
+    assert blocks == want
+
+
 PTAS_GREEDY = SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
                          epsilon=Fraction(1, 10))
 
