@@ -13,7 +13,7 @@ from .graph import (
     BipartiteInstance, CoverSolution, Residual, Side, VertexRef,
     covered_weight, residual,
 )
-from .reduction import ReductionReceipt, ratio_transfer, scale_weights
+from .reduction import ratio_transfer, scale_weights
 from .solvers import (
     GREEDY_RHO, ORACLE_BUDGET, RatedSolver, SolverKind, SolverSpec,
     build_solver, exact_solver, greedy_solver, solve_alg1, solve_alg2,

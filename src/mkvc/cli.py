@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bench import run_matrix, value_text, write_csv
-from .errors import MkvcError
+from .errors import MkvcError, ParseError
 from .fileio import read_instance, write_instance
 from .generate import GenKind, GenSpec, generate
 from .graph import Side, covered_weight
@@ -171,32 +171,28 @@ def _cmd_gen(args) -> int:
 
 
 def _format_vertices(sol) -> str:
-    return " ".join(f"{'L' if s == Side.LEFT else 'R'}{i}"
-                    for s, i in sol.sorted_vertices())
+    return " ".join(f"{'LR'[s]}{i}" for s, i in sol.sorted_vertices())
 
 
 def _cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     solver = build_solver(_solver_spec(args.algorithm, args))
-    if args.scale_ell is not None:
-        scaled, receipt = scale_weights(inst, args.scale_ell)
-        _warn_if_clamped([solver])
-        sol = solver.run(scaled)
-        original_value = covered_weight(inst, sol.vertices)
+    ell = args.scale_ell
+    # scaling only picks the instance the solver runs on
+    run_on, w_max = (inst, None) if ell is None else scale_weights(inst, ell)
+    _warn_if_clamped([solver])
+    sol = solver.run(run_on)
+    value, head, tail = sol.covered_weight, [], []
+    if ell is not None:
         guarantee = ("none" if solver.rho is None
-                     else ratio_transfer(solver.rho, inst.n, args.scale_ell))
-        lines = [f"scaled with {receipt.scale_note}",
-                 f"scaled_value {value_text(sol.covered_weight)}",
-                 f"value {value_text(original_value)}",
-                 f"vertices {_format_vertices(sol)}",
-                 f"transfer_guarantee {guarantee}"]
-    else:
-        _warn_if_clamped([solver])
-        sol = solver.run(inst)
-        lines = [f"value {value_text(sol.covered_weight)}",
-                 f"vertices {_format_vertices(sol)}"]
+                     else ratio_transfer(solver.rho, inst.n, ell))
+        head = [f"scaled with w -> ceil({inst.n}^{ell} * w / {w_max})",
+                f"scaled_value {value_text(value)}"]
+        tail = [f"transfer_guarantee {guarantee}"]
+        value = covered_weight(inst, sol.vertices)
     # every line is formatted before the first is printed
-    print("\n".join(lines))
+    print("\n".join([*head, f"value {value_text(value)}",
+                     f"vertices {_format_vertices(sol)}", *tail]))
     return 0
 
 
@@ -206,7 +202,13 @@ def _cmd_bench(args) -> int:
     if not files:
         print(f"error: no instance files in {directory}", file=sys.stderr)
         return 1
-    instances = [(f.stem, read_instance(f)) for f in files]
+    instances = []
+    for f in files:
+        try:
+            instances.append((f.stem, read_instance(f)))
+        except ParseError as exc:
+            # the line alone would not say which file is at fault
+            raise MkvcError(f"{f.name}: {exc}") from None
     solvers = [build_solver(_solver_spec(name, args)) for name in args.solvers]
     _warn_if_clamped(solvers)
     records = run_matrix(instances, solvers, oracle=args.oracle,

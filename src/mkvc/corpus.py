@@ -135,7 +135,7 @@ def check_instance(inst: BipartiteInstance, agg: dict, tag: str) -> None:
     g = solve_greedy(inst)
     battery = [("exact", opt_sol, k), ("greedy", g, k)]
     for side in (Side.LEFT, Side.RIGHT):
-        battery.append((f"topside{side.name[0]}", solve_top_side(inst, side),
+        battery.append((f"topside{'LR'[side]}", solve_top_side(inst, side),
                         min(k, inst.side_size(side))))
     battery.append(("alg1", solve_alg1(
         inst, min(k, inst.n_left, (k + 1) // 2), _GREEDY_BASE), k))

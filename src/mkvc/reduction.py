@@ -11,7 +11,6 @@ solved with ratio rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MkvcError
@@ -32,19 +31,8 @@ def _check_ell(n: int, ell: int) -> None:
                         f"length of n must be at most {MAX_SCALE_BITS}")
 
 
-@dataclass(frozen=True)
-class ReductionReceipt:
-    ell: int
-    w_max: object
-    n: int
-    scale_note: str
-
-    def __post_init__(self):
-        _check_ell(self.n, self.ell)
-
-
 def scale_weights(inst: BipartiteInstance, ell: int) -> tuple:
-    """Return (scaled instance, receipt) with weights ceil(n**ell * w / w_max).
+    """Return (scaled instance, w_max) with weights ceil(n**ell * w / w_max).
 
     Topology and budget are unchanged, so the scaled instance shares the
     source's incidence masks.  Requires at least one positive weight;
@@ -56,18 +44,13 @@ def scale_weights(inst: BipartiteInstance, ell: int) -> tuple:
     w_max = max(w for _, _, w in inst.edges)
     if w_max <= 0:
         raise MkvcError("degenerate instance: all weights are zero")
-    n = inst.n
-    n_pow = n ** ell
+    n_pow = inst.n ** ell
     # the scaled weights are non-negative ints on the source's checked edges
     scaled = tuple([(l, r, -(-n_pow * w // w_max)) for l, r, w in inst.edges])
     out = BipartiteInstance._checked(inst.n_left, inst.n_right, scaled,
                                      inst.k, inst._inc)
-    receipt = ReductionReceipt(
-        ell=ell, w_max=w_max, n=n,
-        scale_note=f"w -> ceil({n}^{ell} * w / {w_max})",
-    )
     assert all(w <= n_pow for _, _, w in out.edges)
-    return out, receipt
+    return out, w_max
 
 
 def ratio_transfer(rho, n: int, ell: int) -> Fraction:

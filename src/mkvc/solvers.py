@@ -748,10 +748,6 @@ class _Kind(NamedTuple):
     masked: Callable | None
 
 
-def _side_tag(side: Side) -> str:
-    return "L" if side == Side.LEFT else "R"
-
-
 _KINDS = {
     SolverKind.GREEDY: _Kind(
         label=lambda spec: spec.kind.value,
@@ -761,7 +757,7 @@ _KINDS = {
         masked=lambda s, inst, banned, covered, budget, floor: (
             _greedy_masked(inst, banned, covered, budget))),
     SolverKind.TOP_SIDE: _Kind(
-        label=lambda spec: f"topside[{_side_tag(spec.side)}]",
+        label=lambda spec: f"topside[{'LR'[spec.side]}]",
         # none: one side's top k cover 1/5 of opt on the 5+1 star (see the
         # tests)
         rho=lambda spec, base: None,
@@ -770,7 +766,7 @@ _KINDS = {
         masked=lambda s, inst, banned, covered, budget, floor: (
             _top_side_masked(inst, s.spec.side, budget, banned, covered))),
     SolverKind.ALG1: _Kind(
-        label=lambda spec: (f"alg1[x={spec.x_size},{_side_tag(spec.side)}]"
+        label=lambda spec: (f"alg1[x={spec.x_size},{'LR'[spec.side]}]"
                             f"({spec.base.label()})"),
         rho=_alg1_rho,
         needs_base=True,

@@ -181,12 +181,12 @@ def check_reduction(corpus, seed: int) -> list:
     ok_bounds = ok_ratio = ok_over = True
     rng = random.Random(seed ^ 0xCAFE)
     for iid, inst in corpus:
-        scaled, receipt = scale_weights(inst, 3)
+        scaled, w_max = scale_weights(inst, 3)
         n3 = inst.n ** 3
         ws = [w for _, _, w in scaled.edges]
         if max(ws) != n3 or any(w > n3 for w in ws):
             ok_bounds = False
-        factor = Fraction(n3) / Fraction(receipt.w_max)
+        factor = Fraction(n3) / Fraction(w_max)
         eids = rng.sample(range(inst.m), rng.randint(1, inst.m))
         diff = (sum(scaled.edges[e][2] for e in eids)
                 - factor * sum(Fraction(inst.edges[e][2]) for e in eids))

@@ -177,7 +177,8 @@ def test_non_ascii_byte_is_a_parse_error(tmp_path, capsys, body, line):
     assert main(["solve", str(path), "--algorithm", "greedy"]) == 1
     assert main(["bench", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: line {line}: non-ASCII byte"] * 2
+    assert err == [f"error: line {line}: non-ASCII byte",
+                   f"error: u.mkvc: line {line}: non-ASCII byte"]
 
 
 _TOKENS = st.one_of(st.sampled_from([b"p", b"e", b"c", b"mkvc", b"x", b""]),
@@ -515,9 +516,14 @@ def test_cli_solve_with_scaling(tmp_path, capsys):
     path = _write_k22(tmp_path)
     assert main(["solve", str(path), "--algorithm", "greedy",
                  "--scale-ell", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "scaled_value" in out and "value 4" in out
-    assert "transfer_guarantee" in out
+    # unit weights scale to 4^3 = 64 each; the guarantee is GREEDY_RHO less
+    # 1/(4*4), 0.63212 - 0.0625 = 0.56962
+    assert capsys.readouterr().out == (
+        "scaled with w -> ceil(4^3 * w / 1)\n"
+        "scaled_value 256\n"
+        "value 4\n"
+        "vertices L0 L1\n"
+        "transfer_guarantee 28481/50000\n")
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -766,6 +772,15 @@ def test_cli_bench_reads_only_mkvc_files(tmp_path, capsys):
     assert [row.split(",")[:3] for row in rows] == [
         ["k22", "greedy", "4"], ["summary/min", "greedy", ""],
         ["summary/mean", "greedy", ""]]
+
+
+def test_cli_bench_names_the_file_it_could_not_read(tmp_path, capsys):
+    _write_k22(tmp_path, "a.mkvc")
+    (tmp_path / "b.mkvc").write_text("p mkvc 2 2 2 1\ne 0 0 1\ne 0 0 2\n")
+    assert main(["bench", str(tmp_path), "--solvers", "greedy"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: b.mkvc: line 3: duplicate edge (0,0)\n"
 
 
 @pytest.mark.parametrize("names", [[], ["k22.txt"]], ids=["empty", "txt"])

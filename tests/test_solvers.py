@@ -599,6 +599,22 @@ def test_masked_greedy_matches_rescanning_reference(case):
         _greedy_masked(inst, banned, covered, allowed + 1)
 
 
+@pytest.mark.parametrize("spec", [
+    SolverSpec(SolverKind.EXACT),
+    SolverSpec(SolverKind.ALG2, base=SolverSpec(SolverKind.GREEDY)),
+    SolverSpec(SolverKind.PTAS, base=SolverSpec(SolverKind.GREEDY),
+               epsilon=Fraction(1, 10)),
+], ids=["exact", "alg2", "ptas"])
+def test_masked_run_refuses_a_budget_above_the_allowed_vertices(spec):
+    # four of the six vertices banned leave two for a budget of three; the
+    # refusal is the solver's own, not that of a greedy base it calls
+    inst = BipartiteInstance(3, 3, [(i, j, 1 + i + j) for i in range(3)
+                                    for j in range(3)], 2)
+    solver = build_solver(spec)
+    with pytest.raises(MkvcError, match="^budget exceeds available vertices$"):
+        solver.run_masked(inst, 0b1111, 0, 3)
+
+
 # -- the oracle's search against its flat enumeration -------------------------
 
 def _assert_exact_paths_agree(inst, banned, covered, budget):
@@ -1190,6 +1206,10 @@ def test_solver_labels():
     spec = SolverSpec(SolverKind.ALG2, base=SolverSpec(SolverKind.GREEDY), c=3)
     assert spec.label() == "alg2[c=3](greedy)"
     assert SolverSpec(SolverKind.TOP_SIDE, side=Side.RIGHT).label() == "topside[R]"
+    greedy = SolverSpec(SolverKind.GREEDY)
+    for side, tag in ((Side.LEFT, "L"), (Side.RIGHT, "R")):
+        assert SolverSpec(SolverKind.ALG1, base=greedy, x_size=5,
+                          side=side).label() == f"alg1[x=5,{tag}](greedy)"
 
 
 def test_all_solvers_on_edgeless_instance():
