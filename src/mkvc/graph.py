@@ -12,10 +12,10 @@ edge: plane b is every width-th character of the joined rows from offset
 b, read as one base-2 int.  With weights up to 100 they take about 300
 bytes at m=100 and 4.5 KB at m=4,500.
 
-`BipartiteInstance(...)` checks every edge it is given.  The file reader
-and `reduction.scale_weights`, whose edges are checked already, build
-through `BipartiteInstance._checked`, which fills the same fields without
-the checks.  Instances are immutable after construction.
+`BipartiteInstance(...)` checks every edge it is given from outside.  All
+that derives from checked edges (the file reader, `reduction.scale_weights`
+and `with_budget`) builds through `BipartiteInstance._checked`, which fills
+the same fields without the checks.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class BipartiteInstance:
         """An instance on edges a caller has already checked as `__init__`
         would: endpoints in range, no duplicate, exact non-negative weights,
         and k in range.  `inc`, if given, is the incidence list of an
-        instance with the same topology, shared as `with_budget` shares it."""
+        instance on the same edges, and is shared with it."""
         new = object.__new__(cls)
         new._fill(n_left, n_right, edges, k, inc)
         return new
@@ -222,13 +222,11 @@ class BipartiteInstance:
     # -- derived instances --------------------------------------------------
 
     def with_budget(self, k: int) -> "BipartiteInstance":
-        """Cheap copy sharing all derived structures, with a different k."""
+        """The same graph with budget k.  The copy shares the edges, the
+        incidence list and the ref table; it builds its own planes."""
         _check_budget(k, self.n)
-        new = object.__new__(BipartiteInstance)
-        for slot in BipartiteInstance.__slots__:
-            object.__setattr__(new, slot, getattr(self, slot))
-        new.k = k
-        return new
+        return BipartiteInstance._checked(self.n_left, self.n_right,
+                                          self.edges, k, self._inc)
 
     def __repr__(self):
         return (f"BipartiteInstance(n_left={self.n_left}, n_right={self.n_right},"

@@ -13,6 +13,7 @@ from mkvc.analysis import _verify_optimal
 from mkvc.solvers import GREEDY_RHO
 
 L = lambda i: VertexRef(Side.LEFT, i)
+R = lambda i: VertexRef(Side.RIGHT, i)
 
 GRID = [Fraction(i, 100) for i in range(1, 100)]
 
@@ -141,6 +142,34 @@ def test_prop1_skewed_private_weights():
     inst = BipartiteInstance(2, 2, [(0, 0, 10), (1, 1, 1)], 2)
     o = solve_exact(inst)
     assert prop1_sweep(inst, o.vertices, o.covered_weight)
+
+
+_K22 = BipartiteInstance(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)],
+                         2)
+# L0-R0, L0-R1 and L1-R0: {L0, R0} covers all 3, and L0 privately holds
+# edge 1 (mask 0b010), R0 edge 2 (0b100)
+_PATH = BipartiteInstance(2, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1)], 2)
+
+
+@pytest.mark.parametrize("inst, O, opt, shifts", [
+    # disjoint covers: cov(L1) one lower falls below opt - cov(L0); here
+    # the partition restates the inequality, so both fail
+    (_K22, [L(0), L(1)], 4, {0b1100: -1}),
+    # the private part of L0 is no table entry, so only the partition fails
+    (_PATH, [L(0), R(0)], 3, {0b010: 1}),
+    # private parts valued above the covers that hold them: the partition
+    # holds at every X and only the inequality fails
+    (_PATH, [L(0), R(0)], 3, {0b011: -1, 0b101: -1, 0b010: 1, 0b100: 1}),
+], ids=["inequality", "partition", "inequality-alone"])
+def test_prop1_sweep_fails_when_a_clause_fails(monkeypatch, inst, O, opt,
+                                              shifts):
+    assert prop1_sweep(inst, O, opt) is True
+    # O's full cover stays exact, so O still passes as optimal
+    exact = BipartiteInstance.mask_weight
+    monkeypatch.setattr(BipartiteInstance, "mask_weight",
+                        lambda self, mask: exact(self, mask)
+                        + shifts.get(mask, 0))
+    assert prop1_sweep(inst, O, opt) is False
 
 
 def test_prop1_sweep_rejects_more_than_20_members():

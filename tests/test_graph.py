@@ -55,6 +55,18 @@ def test_with_budget_range_checked(k22, k):
 def test_with_budget_shares_topology(k22):
     other = k22.with_budget(1)
     assert other.k == 1 and other.edges == k22.edges and k22.k == 2
+    # a copy shares the topology but owns its caches: planes built on the
+    # source are not carried across the change of budget
+    inst = BipartiteInstance(2, 3, [(0, 0, 1), (0, 2, Fraction(5, 2)),
+                                    (1, 1, 7), (1, 2, 4)], 2)
+    masks = [0, 0b0001, 0b0110, 0b1010, inst._full_mask]
+    want = [inst.mask_weight(mask) for mask in masks]
+    assert inst._planes is not None
+    copy = inst.with_budget(3)
+    assert copy.edges is inst.edges and copy._inc is inst._inc
+    assert copy._planes is None
+    assert [copy.mask_weight(mask) for mask in masks] == want
+    assert copy.k == 3 and inst.k == 2
 
 
 # -- covered_weight ---------------------------------------------------------

@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mkvc.bench
 import mkvc.corpus as corpus
+import mkvc.verify as verify
 from mkvc import (
     BipartiteInstance, CoverSolution, MkvcError, ParseError, Side, SolverKind,
     SolverSpec, VertexRef, build_solver, covered_weight, improve_ratio,
-    read_instance, run_matrix, scale_weights, secondary_bounds, solve_exact,
-    solve_greedy, write_csv, write_instance,
+    ptas_schedule, read_instance, residual, run_matrix, scale_weights,
+    secondary_bounds, solve_exact, solve_greedy, write_csv, write_instance,
 )
 from mkvc.cli import main
 from mkvc.generate import GenKind, GenSpec, generate
@@ -808,27 +809,32 @@ def test_cli_bench_oracle_infeasible_exits_one(tmp_path, capsys):
     assert "oracle" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("budget, message", [
+    ("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
+    ("x", "invalid int value: 'x'")], ids=["0", "-3", "x"])
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_cli_oracle_budget_below_one_is_a_usage_error(tmp_path, capsys,
-                                                      command, budget):
+                                                      command, budget,
+                                                      message):
     path = _write_k22(tmp_path)
     args = ([str(path), "--algorithm", "exact"] if command == "solve"
             else [str(tmp_path), "--oracle"])
     assert main([command, *args, "--oracle-budget", budget]) == 64
     captured = capsys.readouterr()
-    assert (f"argument --oracle-budget: must be >= 1, got {budget}"
-            in captured.err)
+    assert f"argument --oracle-budget: {message}" in captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("small_n", ["-3", "0", "1"])
-def test_cli_verify_small_n_below_two_is_a_usage_error(capsys, small_n):
+@pytest.mark.parametrize("small_n, message", [
+    ("-3", "must be >= 2, got -3"), ("0", "must be >= 2, got 0"),
+    ("1", "must be >= 2, got 1"), ("x", "invalid int value: 'x'")],
+    ids=["-3", "0", "1", "x"])
+def test_cli_verify_small_n_below_two_is_a_usage_error(capsys, small_n,
+                                                       message):
     # below a pair of vertices the sweep would check nothing and pass
     assert main(["verify", "--small-n", small_n]) == 64
     captured = capsys.readouterr()
-    assert (f"argument --small-n: must be >= 2, got {small_n}"
-            in captured.err)
+    assert f"argument --small-n: {message}" in captured.err
     assert captured.out == ""
 
 
@@ -927,6 +933,62 @@ def test_each_sweep_count_fires_on_its_fault(monkeypatch, name, fault, fired,
     corpus.check_instance(_TWO_EDGES, agg, "t")
     assert {key: agg[key] for key in corpus.SWEEP_CHECKS if agg[key]} == fired
     assert agg["examples"] == examples
+
+
+def _lowest_on_side(inst, side):
+    start = 0 if side is Side.LEFT else inst.n_left
+    return _ids_solution(inst, *range(start, start + inst.k))
+
+
+def _one_pass_short(rho0, eps):
+    """A schedule that claims one pass fewer than it converges in."""
+    s = ptas_schedule(rho0, eps)
+    return replace(s, iterations=s.convergence_count - 1)
+
+
+@pytest.mark.parametrize("name, fault, failed, whole_suite", [
+    ("ptas_schedule", _one_pass_short,
+     {"iteration bound at (greedy rho, eps=1/10)",
+      "convergence count within the closed-form bound"}, False),
+    # a valuation that shrinks as the set grows
+    ("covered_weight", lambda inst, refs: -covered_weight(inst, refs),
+     {"coverage monotone under inclusion", "coverage gains submodular",
+      "single-side top-l equals brute force",
+      "oracle on scaled weights transfers ratio 1 - 1/(4n)"}, False),
+    ("solve_top_side", _lowest_on_side,
+     {"single-side top-l equals brute force"}, False),
+    # a residual that deletes nothing counts the edges S and T share twice
+    ("residual", lambda inst, deleted, k: residual(inst, set(), k),
+     {"residual coverage additivity"}, False),
+    ("scale_weights", lambda inst, ell: scale_weights(inst, ell + 1),
+     {"scaled weights within [0, n^3], max attained",
+      "ceiling over-count within |F| on random edge sets"}, False),
+    ("ratio_transfer", lambda rho, n, ell: Fraction(rho),
+     {"oracle on scaled weights transfers ratio 1 - 1/(4n)"}, True),
+], ids=["schedule", "coverage", "top-side", "residual", "scaling",
+        "transfer"])
+def test_each_verify_line_fails_on_its_fault(monkeypatch, capsys, name, fault,
+                                             failed, whole_suite):
+    seed = 20260810  # mkvc verify's default
+
+    def hundredths(*span):
+        return [Fraction(i, 100) for i in range(*span)]
+
+    def failing():
+        lines = (verify.check_schedule(hundredths(5, 95, 5),
+                                       hundredths(5, 50, 5))
+                 + verify.check_graph_core(seed)
+                 + verify.check_reduction(
+                     corpus.rational_corpus(count=40, seed=seed), seed))
+        return {line[1] for line in lines if line[0] == "FAIL"}
+
+    assert failing() == set()
+    monkeypatch.setattr(verify, name, fault)
+    assert failing() == failed
+    if whole_suite:
+        assert run_verification(small_n=4) is False
+        assert main(["verify", "--small-n", "4"]) == 2
+        assert capsys.readouterr().out.endswith("verification FAILED\n")
 
 
 def test_cli_verify_passes(capsys):
