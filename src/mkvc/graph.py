@@ -79,7 +79,8 @@ class BipartiteInstance:
 
     __slots__ = (
         "n_left", "n_right", "k", "edges", "m",
-        "_inc", "_uniform", "_full_mask", "_planes", "_refs", "_ref_ids",
+        "_inc", "_uniform", "_full_mask", "_planes", "_flow", "_refs",
+        "_ref_ids",
     )
 
     def __init__(self, n_left: int, n_right: int,
@@ -127,6 +128,9 @@ class BipartiteInstance:
         ws = {w for _, _, w in edges}
         self._uniform = ws.pop() if len(ws) == 1 else None
         self._planes = None
+        # the LP's root flow at budget k: None until alg2 first asks for it,
+        # then the flow, or False below its size gate (`solvers._root_flow`)
+        self._flow = None
         self._refs, self._ref_ids = _ref_table(n_left, n_right)
 
     # -- addressing -------------------------------------------------------
@@ -223,7 +227,8 @@ class BipartiteInstance:
 
     def with_budget(self, k: int) -> "BipartiteInstance":
         """The same graph with budget k.  The copy shares the edges, the
-        incidence list and the ref table; it builds its own planes."""
+        incidence list and the ref table; it builds its own planes and its
+        own root flow, which is taken at budget k."""
         _check_budget(k, self.n)
         return BipartiteInstance._checked(self.n_left, self.n_right,
                                           self.edges, k, self._inc)

@@ -37,7 +37,12 @@ down its residual gains and the sum of its top ones, which bound every
 child before the child's own edges are walked.  Over greedy, each greedy
 path is walked once: a small set's completion stops, offering nothing, at
 a vertex set an earlier greedy run of the same call already passed, and
-once it cannot reach max(incumbent, floor).
+once it cannot reach max(incumbent, floor).  The small sets have a fourth
+cut, by the LP relaxation's reduced costs (`lp`): one maximum flow per
+instance, cached on it at its first alg2 call and read by every masked
+call on it, ptas's inner levels too, bounds every budget-set holding a
+small set.  The flow is built only past `EXACT_FLAT_MAX` k-subsets; below
+that one LP costs more than the sets it cuts.
 
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
@@ -61,6 +66,7 @@ from typing import Callable, NamedTuple
 from .analysis import RATIO_SCALE, floor_at, improve_ratio, secondary_bounds
 from .errors import MkvcError
 from .graph import BipartiteInstance, CoverSolution, Side
+from .lp import root_flow
 
 ORACLE_BUDGET = 2_000_000
 # the oracle enumerates up to this many k-subsets flat, and searches beyond
@@ -346,6 +352,15 @@ def _exact_search(inst, banned: int, covered: int, budget: int):
     return best, inst.mask_weight(best_cover & ~covered), best_cover
 
 
+def _root_flow(inst):
+    """The instance's LP root flow (`lp.root_flow`), built on first use and
+    cached on it, or False when it has at most `EXACT_FLAT_MAX` k-subsets:
+    there one LP costs more than the small sets it would cut."""
+    if inst._flow is None:
+        inst._flow = comb(inst.n, inst.k) > EXACT_FLAT_MAX and root_flow(inst)
+    return inst._flow
+
+
 def _top_block(inst, side: Side, l: int, gains: list):
     """(vertex mask, weight, edge mask) of the l vertices of one side with
     the largest gains (a `_gains` list; negative entries are unavailable).
@@ -523,14 +538,25 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # the running best: the maximum newly covered weight, ties to the
     # lexicographically smallest vertex set, so arrival order is immaterial
     best_w, best_vm, best_cover = -1, 0, covered
+    # the LP cut, scaled to ints: `lim` is max(incumbent, floor), rounded
+    # up, and a set U of j members is bounded by `lp_base` - lam j plus the
+    # flow on its new cover (see `lp`)
+    flow = _root_flow(inst)
+    if flow:
+        lam, scale, through = flow.lam_scaled, flow.scale, flow.through
+        lp_base = flow.offset(covered, budget)
+        lim = -(-scale * max(best_w, floor) // 1)
+    flows = flow.flow if flow else [0] * inst.m
 
     def offer(vm: int, cover: int, w):
-        nonlocal best_w, best_vm, best_cover
+        nonlocal best_w, best_vm, best_cover, lim
         if vm.bit_count() < budget:
             vm, cover = _pad_mask(inst, vm, banned, budget, cover)
             w = inst.mask_weight(cover & not_cov)
         if w > best_w or w == best_w and _lex_less(vm, best_vm):
             best_w, best_vm, best_cover = w, vm, cover
+            if flow:
+                lim = -(-scale * max(best_w, floor) // 1)
 
     # the direct base run at full budget makes "alg2 >= base" structural.
     # The base runs at each reduced budget b are masked triples; greedy's
@@ -582,15 +608,26 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # less what S newly covers as its own floor: a completion below that
     # is discarded here in turn.  Over greedy, the pick loop takes that
     # floor as `need` and stops below it, or at a set in `seen`.
+    # The fourth cut is the LP's, from the instance's cached root flow: a
+    # child U = S + v is skipped when its LP bound is strictly below
+    # max(incumbent, floor).  Before U's edges are walked, the flow on S's
+    # new cover plus the flow through v bounds the flow on U's; the walk
+    # adds up the exact flow.  That bound does not fall along the order, so
+    # its failure skips U and its extensions, not U's later siblings.
     depth = min(c, budget)
 
-    def grow(start, j, sm, cov_s, g_s, ws_s, r_s):
-        # the children U = S + order[i], i >= start, have j members each
+    def grow(start, j, sm, cov_s, g_s, ws_s, r_s, f_s):
+        # the children U = S + order[i], i >= start, have j members each;
+        # S's new cover carries flow f_s
         rest = budget - j
+        if flow:
+            lp_j = lp_base - lam * j
         for i in range(start, len(order)):
             bound = ws_s + top[i] + r_s
             if bound < best_w or bound < floor:
                 break
+            if flow and lp_j + f_s + through[order[i]] < lim:
+                continue
             um, cov_u = sm | bits[i], cov_s | incs[i]
             if ((bound == best_w or best_w == reach)
                     and _loses_tie(inst, um, banned, budget, best_vm)):
@@ -604,17 +641,21 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
             # S's, less i's newly covered edges; S's members are already -1
             g = g_s[:]
             new = incs[i] & ~cov_s
+            f_u = f_s
             while new:
                 low = new & -new
-                l, r, w = edges[low.bit_length() - 1]
+                e = low.bit_length() - 1
+                l, r, w = edges[e]
                 g[l] -= w
                 g[n_left + r] -= w
+                f_u += flows[e]
                 new ^= low
             g[order[i]] = -1
             tops = sorted(g, reverse=True)[:rest]
             r_u = sum(tops)
             bound = ws + r_u
             if (bound < best_w or bound < floor
+                    or flow and lp_j + f_u < lim
                     or bound == best_w
                     and _loses_tie(inst, um, banned, budget, best_vm)):
                 continue
@@ -628,10 +669,10 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                 rm, rw, cov_r = run
                 offer(um | rm, cov_r, ws + rw)
             if j < depth:
-                grow(i + 1, j + 1, um, cov_u, g, ws, r_u - tops[-1])
+                grow(i + 1, j + 1, um, cov_u, g, ws, r_u - tops[-1], f_u)
 
     if budget:
-        grow(0, 1, 0, 0, gains, 0, sum(top[:budget - 1]))
+        grow(0, 1, 0, 0, gains, 0, sum(top[:budget - 1]), 0)
 
     return best_vm, inst.mask_weight(best_cover & not_cov), best_cover
 
@@ -655,7 +696,14 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     rule is deterministic, so C's run stops, offering nothing, at a vertex
     set that the direct run or an earlier C's run has passed, and once
     what it covers plus its largest gain times the picks left is strictly
-    below the best candidate so far.  The result is that of the whole pool.
+    below the best candidate so far.  C is also skipped, with its
+    extensions, when its LP bound is strictly below the best candidate:
+    from one maximum flow at the LP's multiplier lam* (see `lp`), the
+    weight C covers, plus the flow slack of the edges C leaves uncovered,
+    plus lam* per vertex still to pick.  The flow is built once per
+    instance, on its first alg2 run, and only when the instance has more
+    than `EXACT_FLAT_MAX` k-subsets.  The result is that of the whole
+    pool.
     Carries the least of improve_ratio(base.rho) and both
     secondary_bounds(base.rho), rounded down to a multiple of 10**-40 when
     its denominator exceeds 10**40; None over a base without a guarantee.

@@ -21,6 +21,7 @@ from mkvc.corpus import (
     semiregular_corpus, unweighted_instance,
 )
 from mkvc.generate import GenKind, GenSpec, generate
+from mkvc.lp import root_flow
 from mkvc.solvers import (
     EXACT_FLAT_MAX, GREEDY_RHO, MAX_PTAS_DEPTH, _alg2_masked, _exact_flat,
     _exact_masked, _exact_search, _gains, _greedy_masked, _lex_less,
@@ -916,6 +917,77 @@ def test_floor_passed_to_an_inner_amplifier_is_sound(inst, data):
             ws = inst.mask_weight(args[2] & ~covered)
             assert floor + ws <= value
             assert got == inner.run_masked(*args) or got[1] < floor
+
+
+def _lp_twins(inst, k):
+    """Two fresh copies of `inst` at budget k: the first holds its root flow
+    whatever its size, so alg2's LP cut runs on it; the second holds none,
+    so the cut never runs on it."""
+    cut, ref = inst.with_budget(k), inst.with_budget(k)
+    cut._flow, ref._flow = root_flow(cut), False
+    return cut, ref
+
+
+@given(alg2_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_masked_alg2_matches_pooled_reference_with_the_lp_cut(case, data):
+    # the flow is taken at a drawn k and serves every budget
+    inst, banned, covered, c, base = case
+    cut, ref = _lp_twins(inst, data.draw(st.integers(0, inst.n - 1)))
+    for budget in range(inst.n - banned.bit_count() + 1):
+        got = _alg2_masked(cut, c, base, banned, covered, budget)
+        want = _pooled_alg2(ref, c, base, banned, covered, budget)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1] == want[1] and type(got[1]) is type(want[1])
+
+
+@given(weighted_instances(max_side=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_alg2_and_ptas_floors_with_the_lp_cut(inst, data):
+    # as without the cut: a floor at or below the free value leaves the run
+    # as it is, and above it the run returns a full-size set below it
+    banned = data.draw(st.integers(0, (1 << inst.n) - 1))
+    covered = data.draw(st.integers(0, inst._full_mask))
+    cut, ref = _lp_twins(inst, data.draw(st.integers(0, inst.n - 1)))
+    base = greedy_solver()
+    for budget in range(inst.n - banned.bit_count() + 1):
+        free = _alg2_masked(ref, 3, base, banned, covered, budget)
+        for floor in (free[1] - 1, free[1], free[1] + 1):
+            got = _alg2_masked(cut, 3, base, banned, covered, budget, floor)
+            if floor <= free[1]:
+                assert got == free and type(got[1]) is type(free[1])
+            else:
+                assert got[1] < floor and got[0].bit_count() == budget
+    # ptas's inner levels run masked on the same instance and its flow
+    ptas = build_solver(PTAS_GREEDY)
+    budget = data.draw(st.integers(0, min(4, inst.n - banned.bit_count())))
+    free = ptas.run_masked(ref, banned, covered, budget)
+    for floor in (-1, free[1], free[1] + 1):
+        got = ptas.run_masked(cut, banned, covered, budget, floor)
+        if floor <= free[1]:
+            assert got == free and type(got[1]) is type(free[1])
+        else:
+            assert got[1] < floor and got[0].bit_count() == budget
+
+
+@given(weighted_instances(max_side=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_floor_passed_to_an_inner_amplifier_is_sound_with_the_lp_cut(inst,
+                                                                      data):
+    banned = data.draw(st.integers(0, (1 << inst.n) - 1))
+    covered = data.draw(st.integers(0, inst._full_mask))
+    cut, ref = _lp_twins(inst, data.draw(st.integers(0, inst.n - 1)))
+    inner = build_solver(ALG2_BASES["alg2_greedy"])
+    for budget in range(inst.n - banned.bit_count() + 1):
+        base = _RecordingBase(inner)
+        got = _alg2_masked(cut, 3, base, banned, covered, budget)
+        assert got == _alg2_masked(ref, 3, inner, banned, covered, budget)
+        for args, floor, run in base.calls:
+            if floor is None:
+                continue
+            ws = cut.mask_weight(args[2] & ~covered)
+            assert floor + ws <= got[1]
+            assert run == inner.run_masked(ref, *args[1:]) or run[1] < floor
 
 
 def _seeded_instance(seed, n, k, density):
