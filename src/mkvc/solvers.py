@@ -42,7 +42,11 @@ cut, by the LP relaxation's reduced costs (`lp`): one maximum flow per
 instance, cached on it at its first alg2 call and read by every masked
 call on it, ptas's inner levels too, bounds every budget-set holding a
 small set.  The flow is built only past `EXACT_FLAT_MAX` k-subsets; below
-that one LP costs more than the sets it cuts.
+that one LP costs more than the sets it cuts.  Where the base's masked run
+is exact (`_exact_to`: greedy at one pick, the oracle at any budget, alg2
+and ptas up to c), alg2 searches no further: at such a budget its direct
+base run is the answer, and a small set whose base run had that few picks
+left is not extended.
 
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
@@ -60,7 +64,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Callable, NamedTuple
 
 from .analysis import RATIO_SCALE, floor_at, improve_ratio, secondary_bounds
@@ -453,6 +457,16 @@ def needs_base(kind: SolverKind) -> bool:
     return _KINDS[kind].needs_base
 
 
+def _exact_to(spec: SolverSpec):
+    """The largest budget at which a masked run of `spec` is exact: it
+    returns `_exact_flat`'s vertex mask and cover (the lex-first best
+    budget-set), or under a floor that triple or a set valued below the
+    floor.  Greedy's is 1, the oracle's `inf`, alg2's and ptas's the
+    larger of c and their base's (up to c the small sets hold every
+    budget-set), and every other kind's 0."""
+    return _KINDS[spec.kind].exact_to(spec)
+
+
 def _alg1_rho(spec: SolverSpec, base: RatedSolver) -> None:
     # the upper end, x_size <= k, depends on the instance; solve_alg1 checks it
     if spec.x_size < 0:
@@ -526,11 +540,30 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
 
 
 def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
+    """alg2's masked run (see `solve_alg2`).
+
+    Where the base's run is exact (`_exact_to`), alg2 searches no further.
+    At a budget up to that, the direct base run is already the lex-first
+    best budget-set, so it is the answer, valued by `mask_weight` as every
+    alg2 result is.  In the small-set search, no node U is extended whose
+    base run had 1 <= rest <= that: every candidate built on an extension
+    of U is a budget-set holding U, and U's run returned the lex-first best
+    of those (U plus a rest-set sorts as the rest-set does).  Under a
+    floor, that run returns something below the floor only when every
+    budget-set holding U lies below it, so every extension lies below
+    max(incumbent, floor) too.  A seeded greedy completion of one pick that
+    stops at a set in `seen` or below `need` shows the same: that set's
+    best single pick was already offered, or lies below.  Either way no
+    extension of U can win the pool, so the winner does not change."""
     if c <= 2:
         raise MkvcError("c must be > 2")
-    gains, order, top, bits, incs, reach = _search_start(inst, banned, covered)
-    if budget > len(order):
+    if budget > inst.n - banned.bit_count():
         raise MkvcError("budget exceeds available vertices")
+    exact = _exact_to(base.spec)
+    if budget <= exact:
+        bm, _, cov_b = base.run_masked(inst, banned, covered, budget)
+        return bm, inst.mask_weight(cov_b & ~covered), cov_b
+    gains, order, top, bits, incs, reach = _search_start(inst, banned, covered)
     edges = inst.edges
     n_left = inst.n_left
     not_cov = ~covered
@@ -614,7 +647,8 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # new cover plus the flow through v bounds the flow on U's; the walk
     # adds up the exact flow.  That bound does not fall along the order, so
     # its failure skips U and its extensions, not U's later siblings.
-    depth = min(c, budget)
+    # a node of budget - exact members has an exact base run, and is a leaf
+    depth = min(c, budget - exact)
 
     def grow(start, j, sm, cov_s, g_s, ws_s, r_s, f_s):
         # the children U = S + order[i], i >= start, have j members each;
@@ -702,8 +736,12 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     weight C covers, plus the flow slack of the edges C leaves uncovered,
     plus lam* per vertex still to pick.  The flow is built once per
     instance, on its first alg2 run, and only when the instance has more
-    than `EXACT_FLAT_MAX` k-subsets.  The result is that of the whole
-    pool.
+    than `EXACT_FLAT_MAX` k-subsets.  Where the base's run is exact (greedy
+    at one pick, the oracle at any budget, alg2 and ptas up to c), alg2
+    searches nothing below it: at such a k the direct base run is the
+    answer, and C is not extended when its base run had that few picks
+    left, since that run already returned the best k-set holding C.  The
+    result is that of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
     secondary_bounds(base.rho), rounded down to a multiple of 10**-40 when
     its denominator exceeds 10**40; None over a base without a guarantee.
@@ -794,6 +832,8 @@ class _Kind(NamedTuple):
     run: Callable           # (solver, inst) -> CoverSolution
     # (solver, inst, banned, covered, budget, floor)
     masked: Callable | None
+    # (spec) -> the largest budget at which the masked run is exact
+    exact_to: Callable
 
 
 _KINDS = {
@@ -803,7 +843,9 @@ _KINDS = {
         needs_base=False,
         run=lambda s, inst: solve_greedy(inst),
         masked=lambda s, inst, banned, covered, budget, floor: (
-            _greedy_masked(inst, banned, covered, budget))),
+            _greedy_masked(inst, banned, covered, budget)),
+        # one pick is the first maximum gain: the lex-first best 1-set
+        exact_to=lambda spec: 1),
     SolverKind.TOP_SIDE: _Kind(
         label=lambda spec: f"topside[{'LR'[spec.side]}]",
         # none: one side's top k cover 1/5 of opt on the 5+1 star (see the
@@ -812,7 +854,8 @@ _KINDS = {
         needs_base=False,
         run=lambda s, inst: solve_top_side(inst, s.spec.side),
         masked=lambda s, inst, banned, covered, budget, floor: (
-            _top_side_masked(inst, s.spec.side, budget, banned, covered))),
+            _top_side_masked(inst, s.spec.side, budget, banned, covered)),
+        exact_to=lambda spec: 0),
     SolverKind.ALG1: _Kind(
         label=lambda spec: (f"alg1[x={spec.x_size},{'LR'[spec.side]}]"
                             f"({spec.base.label()})"),
@@ -822,7 +865,8 @@ _KINDS = {
                                        s.spec.side),
         masked=lambda s, inst, banned, covered, budget, floor: (
             _alg1_masked(inst, s.spec.x_size, s.base, s.spec.side, banned,
-                         covered, budget))),
+                         covered, budget)),
+        exact_to=lambda spec: 0),
     SolverKind.ALG2: _Kind(
         label=lambda spec: f"alg2[c={spec.c}]({spec.base.label()})",
         rho=_alg2_rho,
@@ -830,7 +874,9 @@ _KINDS = {
         run=lambda s, inst: solve_alg2(inst, s.spec.c, s.base),
         masked=lambda s, inst, banned, covered, budget, floor: (
             _alg2_masked(inst, s.spec.c, s.base, banned, covered, budget,
-                         floor))),
+                         floor)),
+        # up to c its small sets hold every budget-set
+        exact_to=lambda spec: max(spec.c, _exact_to(spec.base))),
     SolverKind.PTAS: _Kind(
         label=lambda spec: (f"ptas[eps={spec.epsilon},d<={spec.max_depth}]"
                             f"({spec.base.label()})"),
@@ -841,7 +887,9 @@ _KINDS = {
             "target_ratio": 1 - Fraction(s.spec.epsilon),
             "achieved_ratio_bound": s.chain[0].rho}),
         masked=lambda s, inst, banned, covered, budget, floor: (
-            s.chain[0].run_masked(inst, banned, covered, budget, floor))),
+            s.chain[0].run_masked(inst, banned, covered, budget, floor)),
+        # its chain is alg2 at c over alg2 ... over the base, or the base
+        exact_to=lambda spec: max(spec.c, _exact_to(spec.base))),
     SolverKind.EXACT: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),
@@ -849,13 +897,15 @@ _KINDS = {
         run=lambda s, inst: solve_exact(inst, s.spec.oracle_budget),
         masked=lambda s, inst, banned, covered, budget, floor: (
             _exact_masked(inst, banned, covered, budget,
-                          s.spec.oracle_budget))),
+                          s.spec.oracle_budget)),
+        exact_to=lambda spec: inf),
     SolverKind.SEMI_REGULAR: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),
         needs_base=False,
         run=lambda s, inst: solve_semiregular_exact(inst),
-        masked=None),
+        masked=None,
+        exact_to=lambda spec: 0),
 }
 
 # the kinds that `--base` offers: no base of their own, and a masked run

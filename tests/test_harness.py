@@ -513,6 +513,26 @@ def test_cli_solve_exact_prints_value(tmp_path, capsys):
     assert "value 2" in out
 
 
+def test_cli_alg2_over_exact_is_the_oracle_past_its_reduced_budgets(
+        tmp_path, capsys):
+    # (n, k) = (30, 27): the oracle values C(30, 27) = 4,060 sets, but
+    # reduced oracle runs at b = 7 ... 23 would each pass its 2,000,000-set
+    # guard.  The oracle's run at k is already exact, so alg2 makes none
+    rng = random.Random(0)
+    picks = sorted(rng.sample(range(225), 45))
+    inst = BipartiteInstance(15, 15, [(e // 15, e % 15, rng.randint(1, 100))
+                                      for e in picks], 27)
+    path = tmp_path / "f30.mkvc"
+    write_instance(inst, path)
+    assert main(["solve", str(path), "--algorithm", "exact"]) == 0
+    want = capsys.readouterr()
+    assert main(["solve", str(path), "--algorithm", "alg2",
+                 "--base", "exact"]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out and got.err == ""
+    assert got.out.startswith("value 2236\n")
+
+
 def test_cli_solve_with_scaling(tmp_path, capsys):
     path = _write_k22(tmp_path)
     assert main(["solve", str(path), "--algorithm", "greedy",

@@ -24,8 +24,8 @@ from mkvc.generate import GenKind, GenSpec, generate
 from mkvc.lp import root_flow
 from mkvc.solvers import (
     EXACT_FLAT_MAX, GREEDY_RHO, MAX_PTAS_DEPTH, _alg2_masked, _exact_flat,
-    _exact_masked, _exact_search, _gains, _greedy_masked, _lex_less,
-    _pad_mask, _top_side_masked,
+    _exact_masked, _exact_search, _exact_to, _gains, _greedy_masked,
+    _lex_less, _pad_mask, _top_side_masked,
 )
 
 L = lambda i: VertexRef(Side.LEFT, i)
@@ -827,7 +827,9 @@ def test_masked_alg2_matches_pooled_reference_on_a_tie_of_full_covers():
 @pytest.mark.parametrize("name", ["greedy", "exact"])
 def test_alg2_ranks_each_reduced_run_by_its_own_gains(monkeypatch, name):
     # the base run at each budget b = 1 ... k - c, completed with the top
-    # k - b block of either side, ranked by the gains under that run
+    # k - b block of either side, ranked by the gains under that run.  The
+    # oracle's run at k is already exact: over it alg2 makes no reduced run
+    # and returns the oracle's triple
     import mkvc.solvers as solvers
     inst = _seeded_instance(1, 12, 0, 0.3)
     base, k, c = build_solver(ALG2_BASES[name]), 7, 3
@@ -835,7 +837,10 @@ def test_alg2_ranks_each_reduced_run_by_its_own_gains(monkeypatch, name):
     top_block = solvers._top_block
     monkeypatch.setattr(solvers, "_top_block", lambda inst, side, l, g: (
         blocks.append((side, l, g[:])) or top_block(inst, side, l, g)))
-    _alg2_masked(inst, c, base, 0, 0, k)
+    got = _alg2_masked(inst, c, base, 0, 0, k)
+    if name == "exact":
+        assert blocks == [] and got == _exact_masked(inst, 0, 0, k)
+        return
     want = []
     for b in range(1, k - c + 1):
         bm, _, cov_b = base.run_masked(inst, 0, 0, b)
@@ -871,6 +876,33 @@ def test_alg2_floor_changes_only_results_below_it(inst, data):
     for floor in (-1, free[1], free[1] + 1):
         assert ptas.run_masked(inst, banned, covered, budget, floor) == (
             ptas.chain[0].run_masked(inst, banned, covered, budget, floor))
+
+
+EXACT_TO_SPECS = [*ALG2_BASES.values(), PTAS_GREEDY]
+
+
+@given(weighted_instances(max_side=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_masked_runs_are_exact_up_to_their_exact_budget(inst, data):
+    # alg2 searches nothing below a base run at a budget up to `_exact_to`:
+    # there the run returns the oracle's set and cover, and under a floor
+    # that triple or a set valued below the floor
+    banned = data.draw(st.integers(0, (1 << inst.n) - 1))
+    covered = data.draw(st.integers(0, inst._full_mask))
+    free = inst.n - banned.bit_count()
+    for spec in EXACT_TO_SPECS:
+        solver = build_solver(spec)
+        for budget in range(min(_exact_to(spec), free) + 1):
+            want = _exact_flat(inst, banned, covered, budget)
+            got = solver.run_masked(inst, banned, covered, budget)
+            assert got[0] == want[0] and got[2] == want[2], spec
+            assert got[1] == want[1]
+            floor = data.draw(st.integers(-1, int(want[1]) + 2))
+            got = solver.run_masked(inst, banned, covered, budget, floor)
+            if floor <= want[1]:
+                assert got[0] == want[0] and got[2] == want[2], spec
+            else:
+                assert got[1] < floor and got[0].bit_count() == budget
 
 
 def test_alg2_floor_at_its_value_keeps_a_tie_at_the_bound():
@@ -1028,6 +1060,29 @@ def test_alg2_and_ptas_outputs_pinned_at_moderate_n():
         sol = solvers[kind].run(inst)
         got = tuple(inst.vertex_id(r) for r in sol.sorted_vertices())
         assert (got, sol.covered_weight) == (ids, value), (kind, seed)
+
+
+def test_ptas_searches_nothing_below_an_exact_inner_run(monkeypatch):
+    # the outer amplifier's inner alg2 is exact up to c = 3, and the inner
+    # one's greedy at one pick, so neither extends a small set with that
+    # many picks left; without that cut the solve made 243 alg2 calls
+    import mkvc.solvers as solvers
+    calls, searches = [], []
+    alg2, start = solvers._alg2_masked, solvers._search_start
+    monkeypatch.setattr(solvers, "_alg2_masked", lambda *args, **kwargs: (
+        calls.append(args) or alg2(*args, **kwargs)))
+    monkeypatch.setattr(solvers, "_search_start", lambda *args: (
+        searches.append(args) or start(*args)))
+    inst = _seeded_instance(7, 14, 5, 0.3)
+    sol = build_solver(PTAS_GREEDY).run(inst)
+    assert sol.covered_weight == 659
+    assert len(calls) == 109
+    # over greedy at budget 1, the greedy run is the answer
+    for budget in (1, 2):
+        searches.clear()
+        got = _alg2_masked(inst, 3, greedy_solver(), 0, 0, budget)
+        assert got == _exact_flat(inst, 0, 0, budget)
+        assert len(searches) == (budget == 2)
 
 
 class _GreedyPathLog:
