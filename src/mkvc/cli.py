@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 instance/solver error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from fractions import Fraction
@@ -85,6 +86,9 @@ def _solver_names(text: str) -> list:
     return names
 
 
+# built once per process: building costs about 30 times a parse, and
+# parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mkvc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -42,11 +42,11 @@ cut, by the LP relaxation's reduced costs (`lp`): one maximum flow per
 instance, cached on it at its first alg2 call and read by every masked
 call on it, ptas's inner levels too, bounds every budget-set holding a
 small set.  The flow is built only past `EXACT_FLAT_MAX` k-subsets; below
-that one LP costs more than the sets it cuts.  Where the base's masked run
-is exact (`_exact_to`: greedy at one pick, the oracle at any budget, alg2
-and ptas up to c), alg2 searches no further: at such a budget its direct
-base run is the answer, and a small set whose base run had that few picks
-left is not extended.
+that one LP costs more than the sets it cuts.  Each kind's masked run is
+exact up to its `_exact_to` budget e: greedy's at one pick, the oracle's at
+any budget, and alg2's and ptas's up to c plus their base's.  alg2 searches
+only beyond c + e: up to e its direct base run is the answer, and up to
+c + e the oracle's run, which is the pool's winner there.
 
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
@@ -415,11 +415,17 @@ class RatedSolver:
 
     def run_masked(self, inst, banned: int, covered: int, budget: int,
                    floor=-1):
-        masked = _KINDS[self.spec.kind].masked
-        if masked is None:
-            raise MkvcError(f"{self.spec.kind.value} has no masked run, so "
-                            "it cannot be a base")
-        return masked(self, inst, banned, covered, budget, floor)
+        return _masked_run(self.spec.kind)(self, inst, banned, covered,
+                                           budget, floor)
+
+
+def _masked_run(kind: SolverKind) -> Callable:
+    """The kind's masked run; a kind without one cannot be a base."""
+    masked = _KINDS[kind].masked
+    if masked is None:
+        raise MkvcError(f"{kind.value} has no masked run, so it cannot be a "
+                        "base")
+    return masked
 
 
 def greedy_solver() -> RatedSolver:
@@ -441,9 +447,8 @@ def _rated(spec: SolverSpec, base: RatedSolver | None) -> RatedSolver:
     kind = _KINDS[spec.kind]
     if kind.needs_base and base is None:
         raise MkvcError(f"{spec.kind.value} needs a base solver")
-    if base is not None and _KINDS[base.spec.kind].masked is None:
-        raise MkvcError(f"{base.spec.kind.value} has no masked run, so it "
-                        "cannot be a base")
+    if base is not None:
+        _masked_run(base.spec.kind)
     if spec.kind is SolverKind.PTAS:
         # rated by the chain that runs, short of 1 - epsilon at a depth cap
         chain = _ptas_chain(spec.epsilon, base, spec.max_depth, spec.c)
@@ -461,9 +466,18 @@ def _exact_to(spec: SolverSpec):
     """The largest budget at which a masked run of `spec` is exact: it
     returns `_exact_flat`'s vertex mask and cover (the lex-first best
     budget-set), or under a floor that triple or a set valued below the
-    floor.  Greedy's is 1, the oracle's `inf`, alg2's and ptas's the
-    larger of c and their base's (up to c the small sets hold every
-    budget-set), and every other kind's 0."""
+    floor.  Greedy's is 1, the oracle's `inf`, alg2's c plus its base's e,
+    and every other kind's 0.
+
+    alg2's, by the pool: at a budget k <= c + e, let X be the lex-first
+    best k-set.  Up to e the direct base run is X.  Beyond it, X holds a
+    small set T of k - e <= c members, and T's base run at e picks returns
+    X \\ T: a lex-smaller best completion R would make T | R a lex-smaller
+    best k-set, since T | R and X differ first where R and X \\ T do.  No
+    cut drops T (each drops only sets that cannot win), so X is in the
+    pool, and it wins it.  ptas's chain is alg2 at c over the base at
+    depth >= 1, whose entry is at least c + e, unless the base is the
+    oracle, whose entry is `inf` anyway."""
     return _KINDS[spec.kind].exact_to(spec)
 
 
@@ -542,27 +556,25 @@ def solve_alg1(inst: BipartiteInstance, x_size: int, base: RatedSolver,
 def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     """alg2's masked run (see `solve_alg2`).
 
-    Where the base's run is exact (`_exact_to`), alg2 searches no further.
-    At a budget up to that, the direct base run is already the lex-first
-    best budget-set, so it is the answer, valued by `mask_weight` as every
-    alg2 result is.  In the small-set search, no node U is extended whose
-    base run had 1 <= rest <= that: every candidate built on an extension
-    of U is a budget-set holding U, and U's run returned the lex-first best
-    of those (U plus a rest-set sorts as the rest-set does).  Under a
-    floor, that run returns something below the floor only when every
-    budget-set holding U lies below it, so every extension lies below
-    max(incumbent, floor) too.  A seeded greedy completion of one pick that
-    stops at a set in `seen` or below `need` shows the same: that set's
-    best single pick was already offered, or lies below.  Either way no
-    extension of U can win the pool, so the winner does not change."""
+    alg2 is exact up to c plus its base's exact budget e (`_exact_to`), so
+    it searches only beyond that.  At a budget up to e the direct base run
+    is already the lex-first best budget-set, so it is the answer, valued
+    by `mask_weight` as every alg2 result is.  Up to c + e the pool's
+    winner is the lex-first best budget-set too, which the oracle returns
+    with no enumeration budget; under a floor that triple stands as it is,
+    since it either reaches the floor or lies below it.  Beyond c + e the
+    search runs c deep, and every small set has more than e picks left."""
     if c <= 2:
         raise MkvcError("c must be > 2")
     if budget > inst.n - banned.bit_count():
         raise MkvcError("budget exceeds available vertices")
+    _masked_run(base.spec.kind)
     exact = _exact_to(base.spec)
     if budget <= exact:
         bm, _, cov_b = base.run_masked(inst, banned, covered, budget)
         return bm, inst.mask_weight(cov_b & ~covered), cov_b
+    if budget <= c + exact:
+        return _exact_masked(inst, banned, covered, budget, inf)
     gains, order, top, bits, incs, reach = _search_start(inst, banned, covered)
     edges = inst.edges
     n_left = inst.n_left
@@ -593,10 +605,9 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
 
     # the direct base run at full budget makes "alg2 >= base" structural.
     # The base runs at each reduced budget b are masked triples; greedy's
-    # are the first budget - c steps of its traced direct run, which is
-    # traced only when such a step exists
+    # are the first budget - c steps of its traced direct run
     trace = []
-    if seeded and budget > c:
+    if seeded:
         bm, bw, cov_b = _greedy_picks(inst, gains[:], covered, budget, trace)
         runs = trace[:budget - c]
     else:
@@ -647,8 +658,6 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     # new cover plus the flow through v bounds the flow on U's; the walk
     # adds up the exact flow.  That bound does not fall along the order, so
     # its failure skips U and its extensions, not U's later siblings.
-    # a node of budget - exact members has an exact base run, and is a leaf
-    depth = min(c, budget - exact)
 
     def grow(start, j, sm, cov_s, g_s, ws_s, r_s, f_s):
         # the children U = S + order[i], i >= start, have j members each;
@@ -668,9 +677,6 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                 continue
             cm = covered | cov_u
             ws = ws_s + g_s[order[i]]
-            if rest == 0:
-                offer(um, cm, ws)
-                continue
             # U weighs S plus i's residual gain; U's residual gains are
             # S's, less i's newly covered edges; S's members are already -1
             g = g_s[:]
@@ -695,18 +701,17 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
                 continue
             need = max(best_w, floor) - ws
             if seeded:
-                run = _greedy_picks(inst, g[:] if j < depth else g, cm, rest,
+                run = _greedy_picks(inst, g[:] if j < c else g, cm, rest,
                                     None, seen, um, need)
             else:
                 run = base.run_masked(inst, banned | um, cm, rest, need)
             if run is not None:
                 rm, rw, cov_r = run
                 offer(um | rm, cov_r, ws + rw)
-            if j < depth:
+            if j < c:
                 grow(i + 1, j + 1, um, cov_u, g, ws, r_u - tops[-1], f_u)
 
-    if budget:
-        grow(0, 1, 0, 0, gains, 0, sum(top[:budget - 1]), 0)
+    grow(0, 1, 0, 0, gains, 0, sum(top[:budget - 1]), 0)
 
     return best_vm, inst.mask_weight(best_cover & not_cov), best_cover
 
@@ -736,12 +741,12 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     weight C covers, plus the flow slack of the edges C leaves uncovered,
     plus lam* per vertex still to pick.  The flow is built once per
     instance, on its first alg2 run, and only when the instance has more
-    than `EXACT_FLAT_MAX` k-subsets.  Where the base's run is exact (greedy
-    at one pick, the oracle at any budget, alg2 and ptas up to c), alg2
-    searches nothing below it: at such a k the direct base run is the
-    answer, and C is not extended when its base run had that few picks
-    left, since that run already returned the best k-set holding C.  The
-    result is that of the whole pool.
+    than `EXACT_FLAT_MAX` k-subsets.  Where the base's run is exact, at k
+    up to e (greedy at one pick, the oracle at any budget, alg2 and ptas up
+    to c plus their base's e), the direct base run is the answer; up to
+    c + e the pool's winner is the oracle's set (see `_exact_to`), which is
+    returned with no search and no enumeration budget.  The result is that
+    of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
     secondary_bounds(base.rho), rounded down to a multiple of 10**-40 when
     its denominator exceeds 10**40; None over a base without a guarantee.
@@ -776,10 +781,13 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     level's least case bound) reaches 1-epsilon or the depth cap is hit.
 
     Each level multiplies the running time by roughly the amplifier's own
-    cost, so max_depth (at most MAX_PTAS_DEPTH) is the practical knob; the
-    solution metadata reports the executed depth, the target and the
-    achieved guarantee, which falls short of the target when the cap stops
-    the chain.
+    cost, so max_depth (at most MAX_PTAS_DEPTH) is the practical knob.  A
+    chain of d levels at c over a base exact up to e is exact up to
+    d * c + e, and there it makes one oracle run or one base run (see
+    `_alg2_masked`): at depth 2 over greedy, every k from 2 to 7 is one
+    oracle run.  The solution metadata reports the executed depth, the
+    target and the achieved guarantee, which falls short of the target when
+    the cap stops the chain.
     """
     return _rated(SolverSpec(SolverKind.PTAS, base=base.spec, c=c,
                              epsilon=epsilon, max_depth=max_depth),
@@ -875,8 +883,8 @@ _KINDS = {
         masked=lambda s, inst, banned, covered, budget, floor: (
             _alg2_masked(inst, s.spec.c, s.base, banned, covered, budget,
                          floor)),
-        # up to c its small sets hold every budget-set
-        exact_to=lambda spec: max(spec.c, _exact_to(spec.base))),
+        # a small set of up to c plus an exact base run (see _exact_to)
+        exact_to=lambda spec: spec.c + _exact_to(spec.base)),
     SolverKind.PTAS: _Kind(
         label=lambda spec: (f"ptas[eps={spec.epsilon},d<={spec.max_depth}]"
                             f"({spec.base.label()})"),
@@ -888,8 +896,9 @@ _KINDS = {
             "achieved_ratio_bound": s.chain[0].rho}),
         masked=lambda s, inst, banned, covered, budget, floor: (
             s.chain[0].run_masked(inst, banned, covered, budget, floor)),
-        # its chain is alg2 at c over alg2 ... over the base, or the base
-        exact_to=lambda spec: max(spec.c, _exact_to(spec.base))),
+        # its chain is alg2 at c over alg2 ... over the base, at least once
+        # unless the base is the oracle
+        exact_to=lambda spec: spec.c + _exact_to(spec.base)),
     SolverKind.EXACT: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),

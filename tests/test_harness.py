@@ -758,6 +758,24 @@ def test_cli_usage_errors_exit_64(capsys):
     assert "side must be left or right" in capsys.readouterr().err
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # one parser serves every call in a process: a usage error or an option
+    # given to an earlier call leaves the next call's defaults as they are
+    from mkvc.cli import _build_parser
+    path = _write_k22(tmp_path)
+    assert _build_parser() is _build_parser()
+    assert main(["solve", str(path), "--algorithm", "alg2", "--c", "4",
+                 "--base", "exact", "--side", "up"]) == 64
+    capsys.readouterr()
+    assert main(["solve", str(path), "--algorithm", "greedy"]) == 0
+    assert capsys.readouterr() == ("value 4\nvertices L0 L1\n", "")
+    assert _build_parser().parse_args(
+        ["solve", str(path), "--algorithm", "alg2", "--c", "4"]).c == 4
+    args = _build_parser().parse_args(["solve", str(path), "--algorithm",
+                                       "alg2"])
+    assert (args.c, args.base, args.side) == (3, "greedy", Side.LEFT)
+
+
 @pytest.mark.parametrize("side,tag", [("left", "L"), ("L", "L"),
                                       ("right", "R"), ("R", "R")])
 def test_cli_solve_side_picks_the_top_side(tmp_path, capsys, side, tag):

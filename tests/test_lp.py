@@ -107,27 +107,29 @@ def test_root_flow_is_built_once_and_only_past_the_gate(monkeypatch):
                         lambda inst: built.append(inst) or root_flow(inst))
     alg2 = build_solver(SolverSpec(SolverKind.ALG2,
                                    base=SolverSpec(SolverKind.GREEDY)))
-    # C(8, 4) = 70 k-subsets: no flow, as on every sweep pair
+    # alg2 over greedy searches past k = 3 + 1.  C(8, 5) = 56 k-subsets: no
+    # flow, as on every sweep pair
     small = BipartiteInstance(4, 4, [(i, j, 1 + i + j) for i in range(4)
-                                     for j in range(4)], 4)
+                                     for j in range(4)], 5)
     alg2.run(small)
     assert built == [] and small._flow is False
-    # C(12, 4) = 495: one flow, kept for every later run on the instance
+    # C(12, 5) = 792: one flow, kept for every later run on the instance
     inst = BipartiteInstance(6, 6, [(i, j, 1 + (i * j) % 5) for i in range(6)
-                                    for j in range(6)], 4)
+                                    for j in range(6)], 5)
     alg2.run(inst)
     alg2.run(inst)
-    assert built == [inst] and inst._flow.k == 4
+    assert built == [inst] and inst._flow.k == 5
     # a copy at another budget starts without it
-    assert inst.with_budget(5)._flow is None
+    assert inst.with_budget(6)._flow is None
 
 
 def test_flow_and_alg2_on_a_path_longer_than_twice_the_recursion_limit():
     # a path L0-R0-L1-R1-... with rising weights: residual paths run along
-    # it, so a recursive search would overflow
+    # it, so a recursive search would overflow.  alg2 over greedy searches
+    # past k = 3 + 1
     n = 2 * sys.getrecursionlimit() + 3
     edges = [(i // 2 + i % 2, i // 2, i + 1) for i in range(n - 1)]
-    inst = BipartiteInstance((n + 1) // 2, n // 2, edges, 3)
+    inst = BipartiteInstance((n + 1) // 2, n // 2, edges, 5)
     flow = root_flow(inst)
     got = solvers.solve_alg2(inst, 3, greedy_solver())
     assert inst._flow == flow

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1063,26 +1063,58 @@ def test_alg2_and_ptas_outputs_pinned_at_moderate_n():
 
 
 def test_ptas_searches_nothing_below_an_exact_inner_run(monkeypatch):
-    # the outer amplifier's inner alg2 is exact up to c = 3, and the inner
-    # one's greedy at one pick, so neither extends a small set with that
-    # many picks left; without that cut the solve made 243 alg2 calls
+    # depth 2 over greedy is exact up to k = 3 + 3 + 1 = 7, so at k = 5 the
+    # outer amplifier answers with one oracle run and runs no inner level;
+    # the search below an exact inner run made 109 alg2 calls here
     import mkvc.solvers as solvers
-    calls, searches = [], []
-    alg2, start = solvers._alg2_masked, solvers._search_start
+    calls, oracle = [], []
+    alg2, exact = solvers._alg2_masked, solvers._exact_masked
     monkeypatch.setattr(solvers, "_alg2_masked", lambda *args, **kwargs: (
         calls.append(args) or alg2(*args, **kwargs)))
-    monkeypatch.setattr(solvers, "_search_start", lambda *args: (
-        searches.append(args) or start(*args)))
+    monkeypatch.setattr(solvers, "_exact_masked", lambda *args: (
+        oracle.append(args) or exact(*args)))
     inst = _seeded_instance(7, 14, 5, 0.3)
     sol = build_solver(PTAS_GREEDY).run(inst)
     assert sol.covered_weight == 659
-    assert len(calls) == 109
+    assert len(calls) == len(oracle) == 1
     # over greedy at budget 1, the greedy run is the answer
-    for budget in (1, 2):
-        searches.clear()
-        got = _alg2_masked(inst, 3, greedy_solver(), 0, 0, budget)
-        assert got == _exact_flat(inst, 0, 0, budget)
-        assert len(searches) == (budget == 2)
+    oracle.clear()
+    got = _alg2_masked(inst, 3, greedy_solver(), 0, 0, 1)
+    assert got == _exact_flat(inst, 0, 0, 1) and oracle == []
+
+
+@pytest.mark.parametrize("spec, exact_to", [
+    (SolverSpec(SolverKind.GREEDY), 1),
+    (ALG2_BASES["alg2_greedy"], 4),
+    (SolverSpec(SolverKind.ALG2, base=ALG2_BASES["alg2_greedy"]), 7),
+    (PTAS_GREEDY, 4),
+    (SolverSpec(SolverKind.ALG2, base=ALG2_BASES["topside_L"]), 3),
+    (SolverSpec(SolverKind.ALG2, base=ALG2_BASES["exact"]), inf),
+], ids=["greedy", "alg2_greedy", "alg2_alg2_greedy", "ptas_greedy",
+        "alg2_topside", "alg2_exact"])
+def test_exact_budget_adds_c_to_the_base_s(spec, exact_to):
+    assert _exact_to(spec) == exact_to
+
+
+def test_alg2_answers_with_the_oracle_exactly_up_to_its_exact_budget(
+        monkeypatch):
+    # alg2 over greedy is exact up to 3 + 1, ptas's outer level at depth 2
+    # up to 3 + 4: there the oracle answers, and one budget on the search
+    import mkvc.solvers as solvers
+    oracle = []
+    exact = solvers._exact_masked
+    monkeypatch.setattr(solvers, "_exact_masked", lambda *args: (
+        oracle.append(args[3]) or exact(*args)))
+    inst = _seeded_instance(3, 16, 0, 0.3)
+    ptas = build_solver(PTAS_GREEDY)
+    assert ptas.chain[1] == 2
+    for solver, last in ((build_solver(ALG2_BASES["alg2_greedy"]), 4),
+                         (ptas, 7)):
+        for budget in (last, last + 1):
+            oracle.clear()
+            solver.run_masked(inst, 0, 0, budget)
+            assert (budget in oracle) == (budget == last)
+        assert solver.run_masked(inst, 0, 0, last) == exact(inst, 0, 0, last)
 
 
 class _GreedyPathLog:
@@ -1091,32 +1123,40 @@ class _GreedyPathLog:
     set (the pick loop at the call's full budget) and the full vertex set
     of every completion that ran to the end (a pick loop at a smaller
     budget, from a state whose negative gains are the banned vertices and
-    the small set)."""
+    the small set).  A call that the oracle answers is not checked."""
 
     def __init__(self, monkeypatch):
         import mkvc.solvers as solvers
         self.frames = []
         self.completed = 0
         alg2, picks = solvers._alg2_masked, solvers._greedy_picks
+        exact = solvers._exact_masked
         alg2_args = inspect.signature(alg2).bind
         picks_args = inspect.signature(picks).bind
 
         def logged_alg2(*args, **kwargs):
             a = alg2_args(*args, **kwargs).arguments
             over_greedy = a["base"].spec.kind is SolverKind.GREEDY
-            self.frames.append((over_greedy, a["banned"], a["budget"], [], []))
+            self.frames.append((over_greedy, a["banned"], a["budget"], [], [],
+                                []))
             try:
                 got = alg2(*args, **kwargs)
             finally:
                 frame = self.frames.pop()
-            if over_greedy:
-                self.check(*frame[3:])
+            # a call the oracle answered runs no greedy path of its own
+            if over_greedy and not frame[5]:
+                self.check(*frame[3:5])
             return got
+
+        def logged_exact(*args):
+            if self.frames:
+                self.frames[-1][5].append(args)
+            return exact(*args)
 
         def logged_picks(*args, **kwargs):
             if not self.frames or not self.frames[-1][0]:
                 return picks(*args, **kwargs)
-            _, banned, budget, direct, ends = self.frames[-1]
+            _, banned, budget, direct, ends, _ = self.frames[-1]
             a = picks_args(*args, **kwargs).arguments
             start = sum(1 << v for v, g in enumerate(a["gains"]) if g < 0)
             got = picks(*args, **kwargs)
@@ -1127,6 +1167,7 @@ class _GreedyPathLog:
 
         monkeypatch.setattr(solvers, "_alg2_masked", logged_alg2)
         monkeypatch.setattr(solvers, "_greedy_picks", logged_picks)
+        monkeypatch.setattr(solvers, "_exact_masked", logged_exact)
 
     def check(self, direct, ends):
         assert len(direct) == 1
