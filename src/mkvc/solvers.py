@@ -43,10 +43,10 @@ instance, cached on it at its first alg2 call and read by every masked
 call on it, ptas's inner levels too, bounds every budget-set holding a
 small set.  The flow is built only past `EXACT_FLAT_MAX` k-subsets; below
 that one LP costs more than the sets it cuts.  Each kind's masked run is
-exact up to its `_exact_to` budget e: greedy's at one pick, the oracle's at
-any budget, and alg2's and ptas's up to c plus their base's.  alg2 searches
-only beyond c + e: up to e its direct base run is the answer, and up to
-c + e the oracle's run, which is the pool's winner there.
+exact up to its `_exact_to` budget: greedy's at one pick, the oracle's at
+any budget, alg2's c plus its base's e, ptas's its chain's.  alg2 searches
+only beyond c + e; up to there the pool's winner, the oracle's set, is one
+masked run: the base's if it is exact at every budget, else the oracle's.
 
 The oracle returns the lexicographically first optimum.  Up to
 `EXACT_FLAT_MAX` k-subsets it values every one (`_exact_flat`); beyond
@@ -462,12 +462,12 @@ def needs_base(kind: SolverKind) -> bool:
     return _KINDS[kind].needs_base
 
 
-def _exact_to(spec: SolverSpec):
-    """The largest budget at which a masked run of `spec` is exact: it
+def _exact_to(solver: RatedSolver):
+    """The largest budget at which a masked run of `solver` is exact: it
     returns `_exact_flat`'s vertex mask and cover (the lex-first best
     budget-set), or under a floor that triple or a set valued below the
     floor.  Greedy's is 1, the oracle's `inf`, alg2's c plus its base's e,
-    and every other kind's 0.
+    ptas's its chain's, and every other kind's 0.
 
     alg2's, by the pool: at a budget k <= c + e, let X be the lex-first
     best k-set.  Up to e the direct base run is X.  Beyond it, X holds a
@@ -475,10 +475,9 @@ def _exact_to(spec: SolverSpec):
     X \\ T: a lex-smaller best completion R would make T | R a lex-smaller
     best k-set, since T | R and X differ first where R and X \\ T do.  No
     cut drops T (each drops only sets that cannot win), so X is in the
-    pool, and it wins it.  ptas's chain is alg2 at c over the base at
-    depth >= 1, whose entry is at least c + e, unless the base is the
-    oracle, whose entry is `inf` anyway."""
-    return _KINDS[spec.kind].exact_to(spec)
+    pool, and it wins it.  ptas's chain of d levels at c over a base exact
+    up to e is therefore exact up to d * c + e (`inf` over the oracle)."""
+    return _KINDS[solver.spec.kind].exact_to(solver)
 
 
 def _alg1_rho(spec: SolverSpec, base: RatedSolver) -> None:
@@ -557,24 +556,22 @@ def _alg2_masked(inst, c, base, banned, covered, budget, floor=-1):
     """alg2's masked run (see `solve_alg2`).
 
     alg2 is exact up to c plus its base's exact budget e (`_exact_to`), so
-    it searches only beyond that.  At a budget up to e the direct base run
-    is already the lex-first best budget-set, so it is the answer, valued
-    by `mask_weight` as every alg2 result is.  Up to c + e the pool's
-    winner is the lex-first best budget-set too, which the oracle returns
-    with no enumeration budget; under a floor that triple stands as it is,
-    since it either reaches the floor or lies below it.  Beyond c + e the
-    search runs c deep, and every small set has more than e picks left."""
+    it searches only beyond that.  Up to c + e the pool's winner is the
+    lex-first best budget-set, so one masked run answers: the base's own
+    when the base is exact at every budget (an exact base keeps its
+    enumeration budget), else `_ORACLE`'s, with none.  Under a floor that
+    triple stands as it is, since it either reaches the floor or lies
+    below it.  Beyond c + e the search runs c deep, and every small set has
+    more than e picks left."""
     if c <= 2:
         raise MkvcError("c must be > 2")
     if budget > inst.n - banned.bit_count():
         raise MkvcError("budget exceeds available vertices")
     _masked_run(base.spec.kind)
-    exact = _exact_to(base.spec)
-    if budget <= exact:
-        bm, _, cov_b = base.run_masked(inst, banned, covered, budget)
-        return bm, inst.mask_weight(cov_b & ~covered), cov_b
+    exact = _exact_to(base)
     if budget <= c + exact:
-        return _exact_masked(inst, banned, covered, budget, inf)
+        return (base if exact == inf else _ORACLE).run_masked(
+            inst, banned, covered, budget)
     gains, order, top, bits, incs, reach = _search_start(inst, banned, covered)
     edges = inst.edges
     n_left = inst.n_left
@@ -741,12 +738,12 @@ def solve_alg2(inst: BipartiteInstance, c: int, base: RatedSolver) -> CoverSolut
     weight C covers, plus the flow slack of the edges C leaves uncovered,
     plus lam* per vertex still to pick.  The flow is built once per
     instance, on its first alg2 run, and only when the instance has more
-    than `EXACT_FLAT_MAX` k-subsets.  Where the base's run is exact, at k
-    up to e (greedy at one pick, the oracle at any budget, alg2 and ptas up
-    to c plus their base's e), the direct base run is the answer; up to
-    c + e the pool's winner is the oracle's set (see `_exact_to`), which is
-    returned with no search and no enumeration budget.  The result is that
-    of the whole pool.
+    than `EXACT_FLAT_MAX` k-subsets.  At k up to c plus the base's exact
+    budget e (greedy's is one pick, the oracle's any budget, alg2's c plus
+    its base's e, ptas's its chain's), the pool's winner is the oracle's
+    set (see `_exact_to`), returned with no search: by the base itself when
+    it is exact at every budget, else by the oracle with no enumeration
+    budget.  The result is that of the whole pool.
     Carries the least of improve_ratio(base.rho) and both
     secondary_bounds(base.rho), rounded down to a multiple of 10**-40 when
     its denominator exceeds 10**40; None over a base without a guarantee.
@@ -781,13 +778,13 @@ def solve_ptas(inst: BipartiteInstance, epsilon, base: RatedSolver,
     level's least case bound) reaches 1-epsilon or the depth cap is hit.
 
     Each level multiplies the running time by roughly the amplifier's own
-    cost, so max_depth (at most MAX_PTAS_DEPTH) is the practical knob.  A
-    chain of d levels at c over a base exact up to e is exact up to
-    d * c + e, and there it makes one oracle run or one base run (see
-    `_alg2_masked`): at depth 2 over greedy, every k from 2 to 7 is one
-    oracle run.  The solution metadata reports the executed depth, the
-    target and the achieved guarantee, which falls short of the target when
-    the cap stops the chain.
+    cost, so max_depth (at most MAX_PTAS_DEPTH) is the practical knob.  Its
+    run, masked run, guarantee and exact budget are the chain's: d levels
+    at c over a base exact up to e are exact up to d * c + e, and there the
+    chain makes one masked oracle run (see `_alg2_masked`): at depth 2 over
+    greedy, every k up to 7.  The solution metadata reports the executed
+    depth, the target and the achieved guarantee, which falls short of the
+    target when the cap stops the chain.
     """
     return _rated(SolverSpec(SolverKind.PTAS, base=base.spec, c=c,
                              epsilon=epsilon, max_depth=max_depth),
@@ -840,7 +837,7 @@ class _Kind(NamedTuple):
     run: Callable           # (solver, inst) -> CoverSolution
     # (solver, inst, banned, covered, budget, floor)
     masked: Callable | None
-    # (spec) -> the largest budget at which the masked run is exact
+    # (solver) -> the largest budget at which the masked run is exact
     exact_to: Callable
 
 
@@ -853,7 +850,7 @@ _KINDS = {
         masked=lambda s, inst, banned, covered, budget, floor: (
             _greedy_masked(inst, banned, covered, budget)),
         # one pick is the first maximum gain: the lex-first best 1-set
-        exact_to=lambda spec: 1),
+        exact_to=lambda s: 1),
     SolverKind.TOP_SIDE: _Kind(
         label=lambda spec: f"topside[{'LR'[spec.side]}]",
         # none: one side's top k cover 1/5 of opt on the 5+1 star (see the
@@ -863,7 +860,7 @@ _KINDS = {
         run=lambda s, inst: solve_top_side(inst, s.spec.side),
         masked=lambda s, inst, banned, covered, budget, floor: (
             _top_side_masked(inst, s.spec.side, budget, banned, covered)),
-        exact_to=lambda spec: 0),
+        exact_to=lambda s: 0),
     SolverKind.ALG1: _Kind(
         label=lambda spec: (f"alg1[x={spec.x_size},{'LR'[spec.side]}]"
                             f"({spec.base.label()})"),
@@ -874,7 +871,7 @@ _KINDS = {
         masked=lambda s, inst, banned, covered, budget, floor: (
             _alg1_masked(inst, s.spec.x_size, s.base, s.spec.side, banned,
                          covered, budget)),
-        exact_to=lambda spec: 0),
+        exact_to=lambda s: 0),
     SolverKind.ALG2: _Kind(
         label=lambda spec: f"alg2[c={spec.c}]({spec.base.label()})",
         rho=_alg2_rho,
@@ -884,7 +881,7 @@ _KINDS = {
             _alg2_masked(inst, s.spec.c, s.base, banned, covered, budget,
                          floor)),
         # a small set of up to c plus an exact base run (see _exact_to)
-        exact_to=lambda spec: spec.c + _exact_to(spec.base)),
+        exact_to=lambda s: s.spec.c + _exact_to(s.base)),
     SolverKind.PTAS: _Kind(
         label=lambda spec: (f"ptas[eps={spec.epsilon},d<={spec.max_depth}]"
                             f"({spec.base.label()})"),
@@ -896,9 +893,7 @@ _KINDS = {
             "achieved_ratio_bound": s.chain[0].rho}),
         masked=lambda s, inst, banned, covered, budget, floor: (
             s.chain[0].run_masked(inst, banned, covered, budget, floor)),
-        # its chain is alg2 at c over alg2 ... over the base, at least once
-        # unless the base is the oracle
-        exact_to=lambda spec: spec.c + _exact_to(spec.base)),
+        exact_to=lambda s: _exact_to(s.chain[0])),
     SolverKind.EXACT: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),
@@ -907,15 +902,18 @@ _KINDS = {
         masked=lambda s, inst, banned, covered, budget, floor: (
             _exact_masked(inst, banned, covered, budget,
                           s.spec.oracle_budget)),
-        exact_to=lambda spec: inf),
+        exact_to=lambda s: inf),
     SolverKind.SEMI_REGULAR: _Kind(
         label=lambda spec: spec.kind.value,
         rho=lambda spec, base: Fraction(1),
         needs_base=False,
         run=lambda s, inst: solve_semiregular_exact(inst),
         masked=None,
-        exact_to=lambda spec: 0),
+        exact_to=lambda s: 0),
 }
+
+# the uncapped oracle, which answers inside alg2 up to c + e (_alg2_masked)
+_ORACLE = exact_solver(inf)
 
 # the kinds that `--base` offers: no base of their own, and a masked run
 BASE_KINDS = tuple(kind for kind, row in _KINDS.items()

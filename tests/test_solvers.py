@@ -892,7 +892,7 @@ def test_masked_runs_are_exact_up_to_their_exact_budget(inst, data):
     free = inst.n - banned.bit_count()
     for spec in EXACT_TO_SPECS:
         solver = build_solver(spec)
-        for budget in range(min(_exact_to(spec), free) + 1):
+        for budget in range(min(_exact_to(solver), free) + 1):
             want = _exact_flat(inst, banned, covered, budget)
             got = solver.run_masked(inst, banned, covered, budget)
             assert got[0] == want[0] and got[2] == want[2], spec
@@ -916,11 +916,12 @@ def test_alg2_floor_at_its_value_keeps_a_tie_at_the_bound():
 
 
 class _RecordingBase:
-    """A base with a real solver's spec that records each masked call, the
-    floor it was passed (None if none) and its result."""
+    """A base with a real solver's spec and base that records each masked
+    call, the floor it was passed (None if none) and its result."""
 
     def __init__(self, solver):
         self.spec = solver.spec
+        self.base = solver.base
         self.solver = solver
         self.calls = []
 
@@ -1062,6 +1063,42 @@ def test_alg2_and_ptas_outputs_pinned_at_moderate_n():
         assert (got, sol.covered_weight) == (ids, value), (kind, seed)
 
 
+def _tie_path(n, k):
+    """The bipartite path L0-R0-L1-... on n vertices, edge i weighing
+    1 + i % 3: every third vertex has the top gain 5, so about C(n/3, k)
+    k-sets are optimal and nearly every search node ties the incumbent."""
+    edges = [(i // 2 + i % 2, i // 2, 1 + i % 3) for i in range(n - 1)]
+    return BipartiteInstance((n + 1) // 2, n // 2, edges, k)
+
+
+def _unit_complete(side, k):
+    return BipartiteInstance(side, side, [(l, r, 1) for l in range(side)
+                                          for r in range(side)], k)
+
+
+def test_tie_heavy_family_outputs():
+    # the searches' worst case: the uncapped oracle at n = 600 (one
+    # search) and alg2 over greedy at n = 200, past its exact budget
+    # 3 + 1, take about a second each.  Both answer the lex-first optimum
+    for solver, n, k, ids, value in (
+            (exact_solver(inf), 600, 3, (1, 4, 7), 15),
+            (build_solver(ALG2_BASES["alg2_greedy"]), 200, 5,
+             (1, 4, 7, 10, 13), 25)):
+        inst = _tie_path(n, k)
+        sol = solver.run(inst)
+        got = tuple(inst.vertex_id(r) for r in sol.sorted_vertices())
+        assert (got, sol.covered_weight) == (ids, value), solver.label()
+    # on unit-weight complete graphs every vertex ties every other; both
+    # budgets lie past the solver's exact budget, so the search runs
+    for spec, side, k in ((ALG2_BASES["alg2_greedy"], 6, 5),
+                          (PTAS_GREEDY, 8, 8)):
+        solver = build_solver(spec)
+        assert _exact_to(solver) < k
+        inst = _unit_complete(side, k)
+        assert (solver.run_masked(inst, 0, 0, k)
+                == _exact_flat(inst, 0, 0, k)), spec
+
+
 def test_ptas_searches_nothing_below_an_exact_inner_run(monkeypatch):
     # depth 2 over greedy is exact up to k = 3 + 3 + 1 = 7, so at k = 5 the
     # outer amplifier answers with one oracle run and runs no inner level;
@@ -1077,23 +1114,25 @@ def test_ptas_searches_nothing_below_an_exact_inner_run(monkeypatch):
     sol = build_solver(PTAS_GREEDY).run(inst)
     assert sol.covered_weight == 659
     assert len(calls) == len(oracle) == 1
-    # over greedy at budget 1, the greedy run is the answer
+    # over greedy at budget 1 the oracle answers too, once, with no
+    # enumeration budget
     oracle.clear()
     got = _alg2_masked(inst, 3, greedy_solver(), 0, 0, 1)
-    assert got == _exact_flat(inst, 0, 0, 1) and oracle == []
+    assert got == _exact_flat(inst, 0, 0, 1)
+    assert [args[3:] for args in oracle] == [(1, inf)]
 
 
 @pytest.mark.parametrize("spec, exact_to", [
     (SolverSpec(SolverKind.GREEDY), 1),
     (ALG2_BASES["alg2_greedy"], 4),
     (SolverSpec(SolverKind.ALG2, base=ALG2_BASES["alg2_greedy"]), 7),
-    (PTAS_GREEDY, 4),
+    (PTAS_GREEDY, 7),
     (SolverSpec(SolverKind.ALG2, base=ALG2_BASES["topside_L"]), 3),
     (SolverSpec(SolverKind.ALG2, base=ALG2_BASES["exact"]), inf),
 ], ids=["greedy", "alg2_greedy", "alg2_alg2_greedy", "ptas_greedy",
         "alg2_topside", "alg2_exact"])
 def test_exact_budget_adds_c_to_the_base_s(spec, exact_to):
-    assert _exact_to(spec) == exact_to
+    assert _exact_to(build_solver(spec)) == exact_to
 
 
 def test_alg2_answers_with_the_oracle_exactly_up_to_its_exact_budget(
